@@ -28,7 +28,8 @@ from fractions import Fraction
 from .coeffs import coeff_a, coeff_c, coeff_cprime, coeff_u, system_C
 from .exactnum import QuadExt, parse_rational
 from .identity import verify_all
-from .numeric import DEFAULT_BITS, branch_residuals, decimal_str
+from .numeric import DEFAULT_BITS, ZERO_MARGIN_BITS, PrecisionError, branch_residuals
+from .numeric import decimal_str, tolerance_exp
 from .poly import Poly
 from .reduction import (
     ReductionError,
@@ -58,20 +59,36 @@ def _odd_p(text: str) -> int:
     return value
 
 
-# Let argparse accept negative rationals like -13/9 as option values rather
-# than mistaking them for flags.
-_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
-def _new_parser(factory, *args, **kwargs):
-    parser = factory(*args, **kwargs)
-    parser._negative_number_matcher = _NEGATIVE_RATIONAL
-    return parser
+# Residuals are required below 2^-(bits - 56) by default, so fewer bits have no bound.
+_bits = _int_at_least(ZERO_MARGIN_BITS + 1)
+_tolerance_exp = _int_at_least(0)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parser of the command and, through `add_subparsers`, of each subcommand:
+    negative rationals like -13/9 are option values rather than flags, and a
+    usage error is one line on stderr with exit code 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _new_parser(
-        argparse.ArgumentParser,
+    parser = _Parser(
         prog="radreduce",
         description="Exact degree reduction and denesting of radicals (d + sqrt(R))^(1/p).",
     )
@@ -82,10 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--d", type=_rational, required=True)
     p_reduce.add_argument("--R", type=_rational, required=True)
     p_reduce.add_argument("--numeric", action="store_true", help="add branch residuals")
-    p_reduce.add_argument("--bits", type=int, default=DEFAULT_BITS)
+    p_reduce.add_argument("--bits", type=_bits, default=DEFAULT_BITS)
     p_reduce.add_argument(
         "--tolerance-exp",
-        type=int,
+        type=_tolerance_exp,
         default=None,
         help="residual bound exponent E: require residual < 2^-E (default bits - 56)",
     )
@@ -114,14 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_verify = sub.add_parser("verify", help="symbolic identity sweep")
-    p_verify.add_argument("--p-max", type=int, required=True)
+    p_verify.add_argument("--p-max", type=_int_at_least(3), required=True)
 
     p_self = sub.add_parser("selftest", help="golden-instance acceptance checks")
-    p_self.add_argument("--bits", type=int, default=DEFAULT_BITS)
-    p_self.add_argument("--tolerance-exp", type=int, default=None)
-
-    for command_parser in sub.choices.values():
-        command_parser._negative_number_matcher = _NEGATIVE_RATIONAL
+    p_self.add_argument("--bits", type=_bits, default=DEFAULT_BITS)
+    p_self.add_argument("--tolerance-exp", type=_tolerance_exp, default=None)
     return parser
 
 
@@ -129,7 +143,7 @@ def cmd_reduce(args) -> int:
     result = reduce_radical(args.p, args.d, args.R)
     obj = result.to_json()
     if args.numeric:
-        tol_exp = args.tolerance_exp if args.tolerance_exp is not None else args.bits - 56
+        tol_exp = tolerance_exp(args.bits, args.tolerance_exp)
         if result.branches is None:
             obj["numeric"] = {
                 "bits": args.bits,
@@ -233,8 +247,6 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.p_max < 3:
-        raise ValueError("--p-max must be >= 3")
     reports = [verify_all(p).to_json() for p in range(3, args.p_max + 1, 2)]
     _emit(reports)
     return 0 if all(r["ok"] for r in reports) else 1
@@ -242,7 +254,7 @@ def cmd_verify(args) -> int:
 
 def _selftest_checks(bits: int, tol_exp: int | None) -> list[dict]:
     checks: list[dict] = []
-    tol = Fraction(1, 2 ** (tol_exp if tol_exp is not None else bits - 56))
+    tol = Fraction(1, 2 ** tolerance_exp(bits, tol_exp))
 
     def record(name: str, passed: bool, detail: str = ""):
         checks.append({"name": name, "pass": bool(passed), "detail": detail})
@@ -337,14 +349,18 @@ _DISPATCH = {
 }
 
 
+# Exit code for each exception `main` reports as a one-line error; any other
+# exception is a fault of the program and keeps its traceback.
+_EXIT_CODES = {ReductionError: 2, ValueError: 2, ZeroDivisionError: 2, PrecisionError: 2}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ReductionError, ValueError, ZeroDivisionError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

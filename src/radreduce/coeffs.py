@@ -18,12 +18,12 @@ Families (CLI tags in parentheses):
                          linear system they satisfy
 * u_k      ("u")      - closed form equal to both convolution sums s_k, t_k
 
-All values are exact rationals and, in fact, integers.
+All values are integers and computed as ``int``: each closed form divides an
+integer exactly, the division checked to leave no remainder.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 
@@ -39,47 +39,57 @@ def _check_p(p: int) -> None:
         raise ValueError(f"p must be an odd integer >= 3, got {p}")
 
 
-def coeff_c(p: int, k: int) -> Fraction:
-    """c_{2k+1}, the coefficient family of the trace polynomial f.
+def _quotient(num: int, den: int) -> int:
+    """num / den for a closed form known to be an integer; raises if it is not."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"closed form {num}/{den} is not an integer")
+    return q
 
-    Computed from both equivalent closed forms (ascending index 2k+1 and
-    descending index p-2k) and cross-checked; 0 outside 0 <= k <= (p-1)/2.
-    """
+
+def coeff_c(p: int, k: int) -> int:
+    """c_{2k+1}, the coefficient family of the trace polynomial f; 0 outside
+    0 <= k <= (p-1)/2."""
     _check_p(p)
     half = (p - 1) // 2
     if k < 0 or k > half:
-        return Fraction(0)
+        return 0
+    m = (p + 1) // 2 + k
     sign = -1 if (half - k) % 2 else 1
-    value = sign * Fraction(p, (p + 1) // 2 + k) * binom((p + 1) // 2 + k, 2 * k + 1)
-    # Descending-index form of the same family: c_{p-2k'} with k' = half - k.
-    kd = half - k
-    sign_d = -1 if kd % 2 else 1
-    alt = sign_d * Fraction(p, p - kd) * binom(p - kd, kd)
-    if value != alt:
-        raise AssertionError(f"coefficient closed forms disagree at p={p}, k={k}")
-    return value
+    return sign * _quotient(p * binom(m, 2 * k + 1), m)
 
 
-def coeff_a(p: int, k: int) -> Fraction:
+def coeff_c_descending(p: int, k: int) -> int:
+    """c_{p-2k} = (-1)^k (p/(p-k)) binom(p-k, k), the descending-index closed
+    form of the family of `coeff_c`, for 0 <= k <= (p-1)/2."""
+    _check_p(p)
+    if k < 0 or k > (p - 1) // 2:
+        return 0
+    sign = -1 if k % 2 else 1
+    return sign * _quotient(p * binom(p - k, k), p - k)
+
+
+def coeff_a(p: int, k: int) -> int:
     """a_{2k}, the even-degree coefficient family of the sqrt-part polynomial."""
     _check_p(p)
     half = (p - 1) // 2
     if k < 0 or k > half:
-        return Fraction(0)
+        return 0
     sign = -1 if k % 2 else 1
-    return sign * Fraction(p - 1, half + k) * binom(half + k, 2 * k)
+    return sign * _quotient((p - 1) * binom(half + k, 2 * k), half + k)
 
 
-def coeff_cprime(p: int, j: int) -> Fraction:
+def coeff_cprime(p: int, j: int) -> int:
     """c'_{2j+1}, the coefficient family of the cofactor polynomial."""
     _check_p(p)
     if j < 0 or j > (p - 3) // 2:
-        return Fraction(0)
+        return 0
+    m = (p - 1) // 2 + j
     sign = -1 if ((p - 3) // 2 - j) % 2 else 1
-    return sign * Fraction(p - 2, (p - 1) // 2 + j) * binom((p - 1) // 2 + j, 2 * j + 1)
+    return sign * _quotient((p - 2) * binom(m, 2 * j + 1), m)
 
 
-def system_C(p: int) -> list[Fraction]:
+def system_C(p: int) -> list[int]:
     """Expansion coefficients [C_p, C_{p-2}, ..., C_1] of X^p + 1 over the
     basis X^k (X+1)^(p-2k), solved by forward substitution.
 
@@ -87,45 +97,41 @@ def system_C(p: int) -> list[Fraction]:
     sum_{k=0}^{j} C_{p-2k} * binom(p-2k, j-k) = 0.
     """
     _check_p(p)
-    out = [Fraction(1)]
+    out = [1]
     for j in range(1, (p - 1) // 2 + 1):
-        acc = Fraction(0)
-        for k in range(j):
-            acc += out[k] * binom(p - 2 * k, j - k)
-        out.append(-acc)  # binom(p-2j, 0) = 1
+        # binom(p-2j, 0) = 1 is the diagonal entry.
+        out.append(-sum(out[k] * comb(p - 2 * k, j - k) for k in range(j)))
     return out
 
 
-def coeff_u(p: int, k: int) -> Fraction:
+def coeff_u(p: int, k: int) -> int:
     """Closed form u_k = ((-1)^k (p-1) / k) * binom(p+k-2, 2k-1), 1 <= k <= p-1."""
     _check_p(p)
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must satisfy 1 <= k <= p-1, got k={k}, p={p}")
     sign = -1 if k % 2 else 1
-    return sign * Fraction(p - 1, k) * binom(p + k - 2, 2 * k - 1)
+    return sign * _quotient((p - 1) * binom(p + k - 2, 2 * k - 1), k)
 
 
-def conv_s(p: int, k: int) -> Fraction:
+def conv_s(p: int, k: int) -> int:
     """s_k = sum_j a_{2j} * a_{2(k-j)}: the even-coefficient convolution of the
     sqrt-part polynomial with itself (out-of-range factors are 0)."""
     _check_p(p)
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must satisfy 1 <= k <= p-1, got k={k}, p={p}")
-    return sum((coeff_a(p, j) * coeff_a(p, k - j) for j in range(k + 1)), Fraction(0))
+    return sum(coeff_a(p, j) * coeff_a(p, k - j) for j in range(k + 1))
 
 
-def conv_t(p: int, k: int) -> Fraction:
+def conv_t(p: int, k: int) -> int:
     """t_k = sum_j c_{2j+1} * c'_{2(k-j-1)+1}: the even-coefficient convolution
     of the trace polynomial with the cofactor polynomial."""
     _check_p(p)
     if not 2 <= k <= p - 1:
         raise ValueError(f"k must satisfy 2 <= k <= p-1, got k={k}, p={p}")
-    return sum(
-        (coeff_c(p, j) * coeff_cprime(p, k - j - 1) for j in range(k)), Fraction(0)
-    )
+    return sum(coeff_c(p, j) * coeff_cprime(p, k - j - 1) for j in range(k))
 
 
-def vanishing_sum(p: int, j: int) -> Fraction:
+def vanishing_sum(p: int, j: int) -> int:
     """The alternating binomial sum that the expansion coefficients satisfy:
 
         sum_{k=0}^{j} (-1)^k (p/(p-k)) binom(p-k, k) binom(p-2k, j-k)
@@ -135,11 +141,7 @@ def vanishing_sum(p: int, j: int) -> Fraction:
     _check_p(p)
     if j < 0 or j > (p - 1) // 2:
         raise ValueError(f"j must satisfy 0 <= j <= (p-1)/2, got j={j}, p={p}")
-    total = Fraction(0)
-    for k in range(j + 1):
-        sign = -1 if k % 2 else 1
-        total += sign * Fraction(p, p - k) * binom(p - k, k) * binom(p - 2 * k, j - k)
-    return total
+    return sum(coeff_c_descending(p, k) * binom(p - 2 * k, j - k) for k in range(j + 1))
 
 
 # Recurrence certificates.  Both convolution families satisfy linear

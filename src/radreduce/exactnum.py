@@ -45,11 +45,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_rational(q: Fraction) -> str:
-    """Canonical text form, inverse of parse_rational on reduced values."""
-    return str(q)
-
-
 def integer_nth_root(n: int, k: int) -> tuple[int, bool]:
     """Floor k-th root of n >= 0 and whether it is exact.
 
@@ -194,10 +189,6 @@ def divisors(n: int, bound: int = FACTOR_BOUND) -> list[int]:
     for prime, exp in factorize(n, bound).items():
         divs = [d * prime**e for d in divs for e in range(exp + 1)]
     return sorted(divs)
-
-
-def is_prime(n: int) -> bool:
-    return is_probable_prime(n)
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,10 @@ the extraction of s_k, t_k from the symbolic products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .coeffs import (
-    binom,
     coeff_c,
+    coeff_c_descending,
     coeff_u,
     conv_s,
     conv_t,
@@ -81,42 +80,44 @@ def _first_parampoly_diff(left: Poly, right: Poly) -> str:
         if lc != rc:
             keys = sorted(set(lc.terms) | set(rc.terms))
             for (a, b) in keys:
-                lv = lc.terms.get((a, b), Fraction(0))
-                rv = rc.terms.get((a, b), Fraction(0))
+                lv = lc.terms.get((a, b), 0)
+                rv = rc.terms.get((a, b), 0)
                 if lv != rv:
                     return f"Z^{i}: coefficient of d^{a}*D^{b}: left {lv}, right {rv}"
     return "polynomials agree"
 
 
-def _expansion_sum(p: int, cs: list[Fraction]) -> Poly:
+def _expansion_sum(p: int, cs: list[int]) -> Poly:
     """sum_k cs[k] * X^k * (X+1)^(p-2k), cs indexed by k."""
-    total = [Fraction(0)] * (p + 1)
+    total = [0] * (p + 1)
     for k, c in enumerate(cs):
         m = p - 2 * k
+        row = 1  # binom(m, i), stepped along the row
         for i in range(m + 1):
-            total[k + i] += c * binom(m, i)
+            total[k + i] += c * row
+            row = row * (m - i) // (i + 1)
     return Poly(total)
 
 
 def verify_expansion(p: int) -> VerificationReport:
-    """Check the expansion of X^p + 1, with both coefficient routes."""
+    """Check the expansion of X^p + 1, with both coefficient routes; the solved
+    system is compared with both the ascending and the descending closed form."""
     report = VerificationReport(p)
     half = (p - 1) // 2
-    target = Poly([Fraction(1)] + [Fraction(0)] * (p - 1) + [Fraction(1)])
+    target = Poly([1] + [0] * (p - 1) + [1])
 
     solved = system_C(p)
     closed = [coeff_c(p, half - k) for k in range(half + 1)]
-    report.add(
-        "system-solution-matches-closed-form",
-        solved == closed,
-        None
-        if solved == closed
-        else next(
-            f"index k={k}: system {s}, closed form {c}"
-            for k, (s, c) in enumerate(zip(solved, closed))
-            if s != c
+    descending = [coeff_c_descending(p, k) for k in range(half + 1)]
+    witness = next(
+        (
+            f"index k={k}: system {s}, closed form {c}, descending closed form {e}"
+            for k, (s, c, e) in enumerate(zip(solved, closed, descending))
+            if not s == c == e
         ),
+        None,
     )
+    report.add("system-solution-matches-closed-form", witness is None, witness)
 
     for label, cs in (("system", solved), ("closed-form", closed)):
         got = _expansion_sum(p, cs)
@@ -147,9 +148,7 @@ def fundamental_identity_sides(
     correction = Poly(
         [ParamPoly.monomial(-4, 0, 1), ParamPoly(), ParamPoly.const(1)]
     )
-    scalar = ParamPoly({(2, 0): Fraction(1), (0, 1): Fraction(-1)}) * ParamPoly.monomial(
-        1, 0, p - 3
-    )
+    scalar = ParamPoly({(2, 0): 1, (0, 1): -1}) * ParamPoly.monomial(1, 0, p - 3)
     rhs = f * ft + correction * scalar
     return lhs, rhs
 
@@ -159,10 +158,12 @@ def verify_fundamental_identity(
     trace: Poly | None = None,
     sqrt_num: Poly | None = None,
     cofactor_num: Poly | None = None,
+    sides: tuple[Poly, Poly] | None = None,
 ) -> VerificationReport:
-    """Exact check of 4 D^2 A^2 R = f*f' + Z^2 - 4D in cleared form."""
+    """Exact check of 4 D^2 A^2 R = f*f' + Z^2 - 4D in cleared form; `sides`
+    takes `fundamental_identity_sides(p)` when the caller has built it."""
     report = VerificationReport(p)
-    lhs, rhs = fundamental_identity_sides(p, trace, sqrt_num, cofactor_num)
+    lhs, rhs = sides or fundamental_identity_sides(p, trace, sqrt_num, cofactor_num)
     ok = lhs == rhs
     report.add(
         "fundamental-identity",
@@ -178,8 +179,9 @@ def verify_fundamental_identity(
     return report
 
 
-def verify_recurrences(p: int) -> VerificationReport:
-    """Recurrence certificates and closed forms for the convolution families."""
+def verify_recurrences(p: int, sides: tuple[Poly, Poly] | None = None) -> VerificationReport:
+    """Recurrence certificates and closed forms for the convolution families;
+    `sides` takes `fundamental_identity_sides(p)` when the caller has built it."""
     if p < 5:
         raise ValueError(f"recurrence checks need p >= 5, got {p}")
     report = VerificationReport(p)
@@ -236,9 +238,9 @@ def verify_recurrences(p: int) -> VerificationReport:
 
     # Extraction from the symbolic products: the Z^(2k) coefficient of At^2
     # must be the single monomial s_k * D^(p-1-k), and likewise t_k in f*Ft'.
-    at = sqrt_part_symbolic(p).numerator
-    sq = at * at
-    prod = trace_poly_symbolic(p) * cofactor_symbolic(p).numerator
+    # The right side adds to f*Ft' a term of degree 2 in Z only, so for k >= 2
+    # its Z^(2k) coefficients are those of f*Ft'.
+    sq, prod = sides or fundamental_identity_sides(p)
     for label, src, values in (("s", sq, s), ("t", prod, t)):
         bad_msg = None
         for k in range(2, p):
@@ -253,10 +255,12 @@ def verify_recurrences(p: int) -> VerificationReport:
 
 
 def verify_all(p: int) -> VerificationReport:
-    """All identity checks applicable at p, merged into one report."""
+    """All identity checks applicable at p, merged into one report; the
+    symbolic products are built once and shared by both checks that read them."""
     report = VerificationReport(p)
     report.checks.extend(verify_expansion(p).checks)
-    report.checks.extend(verify_fundamental_identity(p).checks)
+    sides = fundamental_identity_sides(p)
+    report.checks.extend(verify_fundamental_identity(p, sides=sides).checks)
     if p >= 5:
-        report.checks.extend(verify_recurrences(p).checks)
+        report.checks.extend(verify_recurrences(p, sides).checks)
     return report

@@ -33,6 +33,12 @@ AGREEMENT_MARGIN_BITS = 16
 _GUARD = 32
 
 
+def tolerance_exp(bits: int, tol_exp: int | None = None) -> int:
+    """Exponent E of the residual bound 2^-E: `tol_exp` when given, otherwise
+    bits - ZERO_MARGIN_BITS."""
+    return tol_exp if tol_exp is not None else bits - ZERO_MARGIN_BITS
+
+
 class PrecisionError(ArithmeticError):
     """Results at precisions B and 2B disagree beyond tolerance."""
 
@@ -273,7 +279,7 @@ def verify_root_map(
     if rational_is_square(params.R) is not None:
         raise ValueError(f"R = {params.R} is a rational square")
     f = trace_poly(params)
-    tol_e = tol_exp if tol_exp is not None else bits - ZERO_MARGIN_BITS
+    tol_e = tolerance_exp(bits, tol_exp)
 
     u_low = _root_map_once(params, bits)
     u_high = _root_map_once(params, 2 * bits)

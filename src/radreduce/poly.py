@@ -121,13 +121,6 @@ class Poly:
             n >>= 1
         return result
 
-    def shift(self, n: int) -> "Poly":
-        """Multiply by Z^n."""
-        if not self.coeffs:
-            return self
-        zero = 0 * self.coeffs[0]
-        return Poly([zero] * n + list(self.coeffs))
-
     def evaluate(self, x):
         """Exact Horner evaluation at x (same ring as the coefficients)."""
         if not self.coeffs:
@@ -174,15 +167,12 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-def poly_Z() -> Poly:
-    return Poly([Fraction(0), Fraction(1)])
-
-
 class ParamPoly:
     """Sparse exact polynomial in the instance parameters d and D.
 
-    Stored as {(deg_d, deg_D): Fraction} with no zero entries, so equality is
-    map equality.  Supports rational scalars on either side.
+    Stored as {(deg_d, deg_D): int or Fraction} with no zero entries, so
+    equality is map equality (an int and the equal Fraction compare and hash
+    alike).  Supports rational scalars on either side.
     """
 
     __slots__ = ("terms",)
@@ -190,7 +180,7 @@ class ParamPoly:
     def __init__(self, terms=None):
         clean = {}
         for key, val in (terms or {}).items():
-            v = Fraction(val)
+            v = val if isinstance(val, int) else Fraction(val)
             if v:
                 clean[key] = v
         object.__setattr__(self, "terms", clean)
@@ -200,19 +190,11 @@ class ParamPoly:
 
     @classmethod
     def const(cls, q) -> "ParamPoly":
-        return cls({(0, 0): Fraction(q)})
+        return cls({(0, 0): q})
 
     @classmethod
     def monomial(cls, q, deg_d: int, deg_D: int) -> "ParamPoly":
-        return cls({(deg_d, deg_D): Fraction(q)})
-
-    @classmethod
-    def var_d(cls) -> "ParamPoly":
-        return cls({(1, 0): Fraction(1)})
-
-    @classmethod
-    def var_D(cls) -> "ParamPoly":
-        return cls({(0, 1): Fraction(1)})
+        return cls({(deg_d, deg_D): q})
 
     def _coerce(self, other):
         if isinstance(other, ParamPoly):
@@ -227,7 +209,7 @@ class ParamPoly:
             return NotImplemented
         out = dict(self.terms)
         for key, val in o.terms.items():
-            out[key] = out.get(key, Fraction(0)) + val
+            out[key] = out.get(key, 0) + val
         return ParamPoly(out)
 
     __radd__ = __add__
@@ -248,11 +230,11 @@ class ParamPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (i1, j1), v1 in self.terms.items():
             for (i2, j2), v2 in o.terms.items():
                 key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
+                out[key] = out.get(key, 0) + v1 * v2
         return ParamPoly(out)
 
     __rmul__ = __mul__
@@ -284,9 +266,6 @@ class ParamPoly:
         for (i, j), v in self.terms.items():
             total += v * d0**i * D0**j
         return total
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def __str__(self):
         if not self.terms:

@@ -34,7 +34,7 @@ from .construct import (
 from .coeffs import coeff_c
 from .exactnum import (
     QuadExt,
-    is_prime,
+    is_probable_prime,
     rational_is_square,
     rational_odd_root,
     squarefree_part,
@@ -391,7 +391,7 @@ def classify(p: int, d, R) -> CaseReport:
         raise ReductionError(
             f"R = {params.R} is a rational square; the reduction requires sqrt(R) irrational"
         )
-    if not is_prime(p):
+    if not is_probable_prime(p):
         return CaseReport(
             p=p,
             applicable=False,

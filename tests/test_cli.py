@@ -4,6 +4,8 @@ import pytest
 
 from radreduce.cli import main
 
+SEPTIC_NUMERIC = ["reduce", "--p", "7", "--d", "-2158", "--R", "4656966", "--numeric"]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -185,6 +187,46 @@ class TestCliContract:
         with pytest.raises(SystemExit) as exc:
             main(["reduce", "--p", "5", "--d", "2.5", "--R", "5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SEPTIC_NUMERIC + ["--bits", "8"],
+            SEPTIC_NUMERIC + ["--bits", "56"],
+            SEPTIC_NUMERIC + ["--bits", "0"],
+            SEPTIC_NUMERIC + ["--tolerance-exp", "-1"],
+            ["selftest", "--bits", "8"],
+            ["selftest", "--tolerance-exp", "-3"],
+        ],
+    )
+    def test_numeric_flags_out_of_range_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+    def test_smallest_accepted_bits(self, capsys):
+        code, out = run(capsys, *SEPTIC_NUMERIC, "--bits", "57", "--tolerance-exp", "0")
+        assert code == 0
+        assert json.loads(out)["numeric"]["residual_bound"] == "2^-0"
+
+    @pytest.mark.parametrize("argv", [SEPTIC_NUMERIC, ["selftest"]])
+    def test_precision_error_exits_2(self, capsys, monkeypatch, argv):
+        import radreduce.cli as cli_mod
+        from radreduce.numeric import PrecisionError
+
+        def unstable(*args, **kwargs):
+            raise PrecisionError("branch sign unstable between precisions")
+
+        monkeypatch.setattr(cli_mod, "branch_residuals", unstable)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: branch sign unstable between precisions\n"
 
     def test_output_is_byte_deterministic(self, capsys):
         _, first = run(capsys, "reduce", "--p", "7", "--d", "-2158", "--R", "4656966")

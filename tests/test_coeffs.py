@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radreduce.coeffs import (
     binom,
     coeff_a,
     coeff_c,
+    coeff_c_descending,
     coeff_cprime,
     coeff_u,
     conv_s,
@@ -170,6 +173,62 @@ class TestIntegrality:
         values += system_C(p)
         values += [coeff_u(p, k) for k in range(1, p)]
         assert all(v.denominator == 1 for v in values)
+
+
+def _sign(n):
+    return -1 if n % 2 else 1
+
+
+# The closed forms in Fraction arithmetic, the reference for the integer code.
+def c_closed(p, k):
+    return _sign((p - 1) // 2 - k) * F(p, (p + 1) // 2 + k) * binom((p + 1) // 2 + k, 2 * k + 1)
+
+
+def c_descending_closed(p, k):
+    return _sign(k) * F(p, p - k) * binom(p - k, k)
+
+
+def a_closed(p, k):
+    return _sign(k) * F(p - 1, (p - 1) // 2 + k) * binom((p - 1) // 2 + k, 2 * k)
+
+
+def cprime_closed(p, j):
+    return _sign((p - 3) // 2 - j) * F(p - 2, (p - 1) // 2 + j) * binom((p - 1) // 2 + j, 2 * j + 1)
+
+
+def u_closed(p, k):
+    return _sign(k) * F(p - 1, k) * binom(p + k - 2, 2 * k - 1)
+
+
+class TestIntegerFamiliesMatchFractionClosedForms:
+    odd_p = st.integers(min_value=1, max_value=150).map(lambda h: 2 * h + 1)
+
+    @staticmethod
+    def assert_int_equal(got, want):
+        assert type(got) is int and got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(odd_p, st.data())
+    def test_families(self, p, data):
+        half = (p - 1) // 2
+        k = data.draw(st.integers(min_value=0, max_value=half))
+        self.assert_int_equal(coeff_c(p, k), c_closed(p, k))
+        self.assert_int_equal(coeff_c_descending(p, k), c_descending_closed(p, k))
+        self.assert_int_equal(coeff_a(p, k), a_closed(p, k))
+        j = data.draw(st.integers(min_value=0, max_value=half - 1))
+        self.assert_int_equal(coeff_cprime(p, j), cprime_closed(p, j))
+        ku = data.draw(st.integers(min_value=1, max_value=p - 1))
+        self.assert_int_equal(coeff_u(p, ku), u_closed(p, ku))
+        self.assert_int_equal(conv_s(p, ku), u_closed(p, ku))
+        if ku >= 2:
+            self.assert_int_equal(conv_t(p, ku), u_closed(p, ku))
+
+    @settings(max_examples=20, deadline=None)
+    @given(odd_p)
+    def test_system_C(self, p):
+        solved = system_C(p)
+        assert all(type(c) is int for c in solved)
+        assert solved == [c_descending_closed(p, k) for k in range((p + 1) // 2)]
 
 
 class TestRecurrences:

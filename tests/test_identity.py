@@ -47,6 +47,21 @@ class TestExpansion:
         assert report.ok, [c for c in report.checks if not c.passed]
 
 
+    def test_descending_closed_form_is_cross_checked(self, monkeypatch):
+        import radreduce.identity as identity_mod
+
+        real = identity_mod.coeff_c_descending
+        monkeypatch.setattr(
+            identity_mod, "coeff_c_descending", lambda p, k: real(p, k) + (k == 2)
+        )
+        check = verify_expansion(9).checks[0]
+        assert check.name == "system-solution-matches-closed-form"
+        assert not check.passed
+        assert check.witness == (
+            "index k=2: system 27, closed form 27, descending closed form 28"
+        )
+
+
 class TestFundamentalIdentity:
     @pytest.mark.parametrize("p", range(3, 30, 2))
     def test_symbolic(self, p):
@@ -138,6 +153,14 @@ class TestCombinedReport:
     def test_small_p_skips_recurrences(self):
         names = [c.name for c in verify_all(3).checks]
         assert "s-two-term-recurrence" not in names
+
+    @pytest.mark.parametrize("p", range(3, 22, 2))
+    def test_shared_products_match_standalone_checks(self, p):
+        checks = verify_expansion(p).to_json()["checks"]
+        checks += verify_fundamental_identity(p).to_json()["checks"]
+        if p >= 5:
+            checks += verify_recurrences(p).to_json()["checks"]
+        assert verify_all(p).to_json() == {"p": p, "ok": True, "checks": checks}
 
     def test_report_json_shape(self):
         obj = verify_all(5).to_json()

@@ -46,9 +46,6 @@ class TestPolyBasics:
     def test_pow(self):
         assert fpoly(1, 1) ** 3 == fpoly(1, 3, 3, 1)
 
-    def test_shift(self):
-        assert fpoly(1, 2).shift(2) == fpoly(0, 0, 1, 2)
-
     def test_leading_of_zero_poly_rejected(self):
         with pytest.raises(ValueError):
             Poly().leading()
@@ -123,6 +120,15 @@ class TestParamPoly:
         y = ParamPoly({(1, 0): F(2), (0, 1): F(-1)})
         assert (x * y).subs(d0, D0) == x.subs(d0, D0) * y.subs(d0, D0)
         assert (x + y).subs(d0, D0) == x.subs(d0, D0) + y.subs(d0, D0)
+
+
+    def test_int_and_fraction_terms_compare_and_hash_alike(self):
+        ints = ParamPoly({(0, 1): 3, (2, 0): -1})
+        fracs = ParamPoly({(0, 1): F(3), (2, 0): F(-1)})
+        assert ints == fracs and hash(ints) == hash(fracs)
+        assert {ints: "x"}[fracs] == "x"
+        assert ParamPoly.const(2) == ParamPoly.const(F(2)) == 2
+        assert ints * fracs == fracs * fracs
 
 
 class TestSubstitutionConsistency:
