@@ -24,7 +24,6 @@ from .exactnum import (
     parse_rational,
     rational_is_square,
     rational_odd_root,
-    squarefree_part,
 )
 from .identity import (
     VerificationReport,
@@ -70,7 +69,6 @@ __all__ = [
     "reduce_radical",
     "sqrt_part_poly",
     "sqrt_part_symbolic",
-    "squarefree_part",
     "trace_poly",
     "trace_poly_symbolic",
     "verify_all",

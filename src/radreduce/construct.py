@@ -1,7 +1,9 @@
 """Builders for the named polynomials of a reduction instance.
 
-An instance is (p, d, R) with p odd >= 3 and d, R, D = d^2 - R all nonzero
-rationals; D is the norm of the radicand d + sqrt(R).  The polynomials:
+An instance is (p, d, R) with p odd >= 3, d, R, D = d^2 - R all nonzero
+rationals and sqrt(R) irrational; D is the norm of the radicand d + sqrt(R).
+`InstanceParams.create` is the one place that decides validity, so every
+builder and every caller may assume it.  The polynomials:
 
 * defining polynomial   g  = (Z^p - d)^2 - R, degree 2p over Q, which factors
   over Q(sqrt(R)) as h_plus * h_minus with h_pm = Z^p - (d +- sqrt(R));
@@ -28,6 +30,10 @@ from .exactnum import QuadExt, rational_is_square
 from .poly import ParamPoly, Poly
 
 
+class ReductionError(ValueError):
+    """A standing assumption of the reduction is violated."""
+
+
 @dataclass(frozen=True)
 class InstanceParams:
     """Validated parameters (p, d, R) with the derived norm D = d^2 - R."""
@@ -50,6 +56,10 @@ class InstanceParams:
         D = d * d - R
         if D == 0:
             raise ValueError("degenerate instance: d^2 - R = 0")
+        if rational_is_square(R) is not None:
+            raise ReductionError(
+                f"R = {R} is a rational square; the reduction requires sqrt(R) irrational"
+            )
         return cls(p, d, R, D)
 
 
@@ -146,14 +156,10 @@ def defining_polys(params: InstanceParams) -> tuple[Poly, Poly, Poly]:
     """(g, h_plus, h_minus): the degree-2p defining polynomial of the radical
     over Q and its two conjugate degree-p factors over Q(sqrt(R)).
 
-    Requires sqrt(R) irrational; the factorization h_plus * h_minus = g is an
-    exact identity in Q(sqrt(R))[Z].
+    The factorization h_plus * h_minus = g is an exact identity in
+    Q(sqrt(R))[Z]; sqrt(R) is irrational for every valid instance.
     """
     p, d, R = params.p, params.d, params.R
-    if rational_is_square(R) is not None:
-        raise ValueError(
-            f"R = {R} is a rational square; the reduction requires sqrt(R) irrational"
-        )
     g_coeffs = [Fraction(0)] * (2 * p + 1)
     g_coeffs[0] = d * d - R
     g_coeffs[p] = -2 * d

@@ -1,13 +1,13 @@
 """Exact scalar arithmetic: rationals, quadratic-field elements, root predicates.
 
 Rationals are ``fractions.Fraction`` throughout (always stored reduced, positive
-denominator, arithmetic exact).  On top of that this module provides the three
-number-theoretic predicates the reduction machinery needs:
+denominator, arithmetic exact).  On top of that this module provides the two
+root predicates the reduction machinery needs:
 
 * is a rational a perfect square, and of what,
 * does a rational have a rational odd p-th root,
-* the squarefree integer part of a rational (which classifies the quadratic
-  field Q(sqrt(q))).
+
+and, for the rational-root search, integer factorization and divisor lists.
 
 ``QuadExt`` represents an element a + b*sqrt(R) of the quadratic extension
 Q(sqrt(R)) for a fixed non-square R, with exact componentwise arithmetic.
@@ -163,24 +163,6 @@ def factorize(n: int, bound: int = FACTOR_BOUND) -> dict[int, int]:
             factors[b] = factors.get(b, 0) + e
             return factors
     raise FactorizationError(f"cannot factor cofactor {n} within bound {bound}")
-
-
-def squarefree_part(q: Fraction, bound: int = FACTOR_BOUND) -> int:
-    """The unique squarefree integer m with q = m * (rational square).
-
-    Q(sqrt(q1)) == Q(sqrt(q2)) iff the squarefree parts agree; the sign of q
-    is carried by m.
-    """
-    if q == 0:
-        raise ValueError("squarefree_part undefined for 0")
-    # q = num/den = (num*den)/den^2, so only num*den matters.
-    n = q.numerator * q.denominator
-    sign = -1 if n < 0 else 1
-    m = sign
-    for prime, exp in factorize(abs(n), bound).items():
-        if exp % 2:
-            m *= prime
-    return m
 
 
 def divisors(n: int, bound: int = FACTOR_BOUND) -> list[int]:

@@ -21,7 +21,6 @@ from mpmath import mp, mpc, mpf
 
 from . import exprtree as et
 from .construct import InstanceParams, trace_poly
-from .exactnum import rational_is_square
 from .poly import Poly, rational_roots
 
 DEFAULT_BITS = 256
@@ -252,10 +251,7 @@ def _root_map_once(params: InstanceParams, bits: int) -> list:
 
 def root_map_values(p: int, d, R, bits: int = DEFAULT_BITS) -> list:
     """The p scaled conjugate sums u_k as complex values at `bits` precision."""
-    params = InstanceParams.create(p, d, R)
-    if rational_is_square(params.R) is not None:
-        raise ValueError(f"R = {params.R} is a rational square")
-    return _root_map_once(params, bits)
+    return _root_map_once(InstanceParams.create(p, d, R), bits)
 
 
 def verify_root_map(
@@ -276,8 +272,6 @@ def verify_root_map(
     if p > max_p:
         raise ValueError(f"p = {p} exceeds max_p = {max_p}; pass max_p explicitly")
     params = InstanceParams.create(p, d, R)
-    if rational_is_square(params.R) is not None:
-        raise ValueError(f"R = {params.R} is a rational square")
     f = trace_poly(params)
     tol_e = tolerance_exp(bits, tol_exp)
 

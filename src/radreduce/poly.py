@@ -98,10 +98,17 @@ class Poly:
             return Poly()
         out = [None] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
+            if not ca:
+                continue
             for j, cb in enumerate(b):
+                if not cb:
+                    continue
                 prod = ca * cb
                 out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-        return Poly(out)
+        # A slot no product reached gets the zero of the product's ring; the
+        # top slot is always reached, since a[-1] and b[-1] are nonzero.
+        zero = out[-1] * 0
+        return Poly([zero if c is None else c for c in out])
 
     def __rmul__(self, other):
         return self.scale(other)

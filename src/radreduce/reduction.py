@@ -27,23 +27,14 @@ from fractions import Fraction
 from . import exprtree as et
 from .construct import (
     InstanceParams,
+    ReductionError,
     defining_polys,
     sqrt_part_poly,
     trace_poly,
 )
 from .coeffs import coeff_c
-from .exactnum import (
-    QuadExt,
-    is_probable_prime,
-    rational_is_square,
-    rational_odd_root,
-    squarefree_part,
-)
+from .exactnum import QuadExt, is_probable_prime, rational_is_square, rational_odd_root
 from .poly import Poly, rational_roots
-
-
-class ReductionError(ValueError):
-    """A standing assumption of the reduction is violated."""
 
 
 def _ordinal(n: int) -> str:
@@ -55,7 +46,12 @@ def _ordinal(n: int) -> str:
 
 @dataclass(frozen=True)
 class NecessaryConditions:
-    """Necessary (not sufficient) conditions for y to have degree 2p."""
+    """Necessary (not sufficient) conditions for y to have degree 2p.
+
+    All three hold for every valid instance, by input validation in
+    `InstanceParams.create`.  In particular g = (Z^p - d)^2 - R has no
+    rational zero: a zero r would make R = (r^p - d)^2 a rational square.
+    """
 
     sqrtR_irrational: bool
     D_nonzero: bool
@@ -165,10 +161,6 @@ def reduce_radical(p: int, d, R) -> ReductionResult:
     irrational u is a root of f with no closed radical form here.
     """
     params = InstanceParams.create(p, d, R)
-    if rational_is_square(params.R) is not None:
-        raise ReductionError(
-            f"R = {params.R} is a rational square; the reduction requires sqrt(R) irrational"
-        )
     g, _, _ = defining_polys(params)
     f = trace_poly(params)
     A = sqrt_part_poly(params)
@@ -213,11 +205,7 @@ def reduce_radical(p: int, d, R) -> ReductionResult:
             ),
         )
 
-    conditions = NecessaryConditions(
-        sqrtR_irrational=True,
-        D_nonzero=True,
-        g_rational_roots=tuple(sorted(rational_roots(g))),
-    )
+    conditions = NecessaryConditions(sqrtR_irrational=True, D_nonzero=True, g_rational_roots=())
     return ReductionResult(
         params=params,
         g=g,
@@ -239,7 +227,7 @@ def construct_example(p: int, D, u) -> tuple[InstanceParams, Poly]:
     Solving f(u) = 0 for the free parameter d gives
         d = (1/2) * sum_j c_{2j+1} u^(2j+1) / D^j,
     and then R = d^2 - D.  Degenerate outcomes (d = 0, R = 0, or R a rational
-    square, which would make sqrt(R) rational) are rejected.
+    square, which would make sqrt(R) rational) raise ReductionError.
     """
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd integer >= 3, got {p}")
@@ -255,10 +243,6 @@ def construct_example(p: int, D, u) -> tuple[InstanceParams, Poly]:
     R = d * d - D
     if R == 0:
         raise ReductionError("degenerate construction: R = 0")
-    if rational_is_square(R) is not None:
-        raise ReductionError(
-            f"degenerate construction: R = {R} is a rational square, sqrt(R) would be rational"
-        )
     params = InstanceParams.create(p, d, R)
     if trace_poly(params).evaluate(u) != 0:
         raise AssertionError("construction failed to plant the prescribed zero")
@@ -387,10 +371,6 @@ def classify(p: int, d, R) -> CaseReport:
     """Classify (p, d, R): does Q(sqrt(R)) coincide with the quadratic field
     Q(sqrt((-1)^((p-1)/2) * p)), and is D a rational p-th power?"""
     params = InstanceParams.create(p, d, R)
-    if rational_is_square(params.R) is not None:
-        raise ReductionError(
-            f"R = {params.R} is a rational square; the reduction requires sqrt(R) irrational"
-        )
     if not is_probable_prime(p):
         return CaseReport(
             p=p,
@@ -400,8 +380,9 @@ def classify(p: int, d, R) -> CaseReport:
             basis_description=None,
             note=f"classification requires p prime; p = {p} is composite",
         )
+    # Q(sqrt(R)) = Q(sqrt(s)) for nonsquares R, s exactly when R*s is a square.
     sign = -1 if ((p - 1) // 2) % 2 else 1
-    field_equal = squarefree_part(params.R) == squarefree_part(Fraction(sign * p))
+    field_equal = rational_is_square(params.R * sign * p) is not None
     z = rational_odd_root(params.D, p)
     if z is not None:
         case = "a"

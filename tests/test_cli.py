@@ -1,10 +1,16 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
-from radreduce.cli import main
+from radreduce.cli import MAX_BITS, MAX_P_MAX, build_parser, main
 
 SEPTIC_NUMERIC = ["reduce", "--p", "7", "--d", "-2158", "--R", "4656966", "--numeric"]
+# construct_example(11, -2, 20): residual about 4e-60, about 4e-85 relative to R.
+LARGE_R_NUMERIC = [
+    "reduce", "--p", "11", "--d", "-3379550910110",
+    "--R", "11421364354025329300212102", "--numeric",
+]
 
 
 def run(capsys, *argv):
@@ -35,6 +41,32 @@ class TestReduceCommand:
         assert obj["numeric"]["residual_bound_ok"] is True
         assert obj["numeric"]["branch_signs_consistent"] is True
         assert obj["numeric"]["residual_bound"] == "2^-200"
+
+    def test_residual_bound_is_relative_to_R(self, capsys):
+        code, out = run(capsys, *LARGE_R_NUMERIC)
+        assert code == 0
+        num = json.loads(out)["numeric"]
+        assert num["residual_bound"] == "2^-200"
+        assert num["residual_bound_ok"] is True
+
+    @pytest.mark.parametrize(
+        "factor,ok", [(2, False), (F(1, 2), True)], ids=["twice-bound", "half-bound"]
+    )
+    def test_residual_against_scaled_bound(self, capsys, monkeypatch, factor, ok):
+        import radreduce.cli as cli_mod
+
+        real = cli_mod.branch_residuals
+        # max(1, d^2, |R|) = R = 4656966 for the septic instance.
+        bound = F(4656966, 2**200)
+
+        def scaled(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return {**res, "max_residual": factor * bound}
+
+        monkeypatch.setattr(cli_mod, "branch_residuals", scaled)
+        code, out = run(capsys, *SEPTIC_NUMERIC)
+        assert code == 0
+        assert json.loads(out)["numeric"]["residual_bound_ok"] is ok
 
     def test_numeric_flag_without_branches(self, capsys):
         code, out = run(capsys, "reduce", "--p", "5", "--d", "2", "--R", "5", "--numeric")
@@ -106,6 +138,12 @@ class TestClassifyCommand:
         obj = json.loads(out)
         assert obj["prop2_field_equal"] is False
         assert obj["prop3_case"] == "b"
+
+    def test_R_beyond_trial_division(self, capsys):
+        # R = (10^9 + 7)(10^9 + 9); the field test is one square test of 5R.
+        code, out = run(capsys, "classify", "--p", "5", "--d", "1", "--R", "1000000016000000063")
+        assert code == 0
+        assert json.loads(out)["prop2_field_equal"] is False
 
 
 class TestCoeffsCommand:
@@ -207,6 +245,35 @@ class TestCliContract:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--p-max", str(MAX_P_MAX)],
+            SEPTIC_NUMERIC + ["--bits", str(MAX_BITS)],
+            ["selftest", "--bits", str(MAX_BITS)],
+        ],
+    )
+    def test_upper_limits_accepted(self, argv):
+        # Parsed only: running these takes seconds.
+        build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--p-max", str(MAX_P_MAX + 1)],
+            SEPTIC_NUMERIC + ["--bits", str(MAX_BITS + 1)],
+            ["selftest", "--bits", str(MAX_BITS + 1)],
+        ],
+    )
+    def test_above_upper_limits_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "must be <=" in captured.err
 
     def test_smallest_accepted_bits(self, capsys):
         code, out = run(capsys, *SEPTIC_NUMERIC, "--bits", "57", "--tolerance-exp", "0")

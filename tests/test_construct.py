@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from radreduce.construct import (
     InstanceParams,
+    ReductionError,
     cofactor_poly,
     cofactor_symbolic,
     defining_polys,
@@ -29,7 +30,7 @@ small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
 def valid_params(p, d, R):
     d, R = F(d), F(R)
-    return d != 0 and R != 0 and d * d - R != 0
+    return d != 0 and R != 0 and d * d - R != 0 and rational_is_square(R) is None
 
 
 class TestInstanceParams:
@@ -75,8 +76,8 @@ class TestTracePoly:
     @given(small_fractions, small_fractions, st.sampled_from([3, 5, 7, 9, 11]))
     @settings(max_examples=40)
     def test_symbolic_matches_concrete(self, d, D, p):
-        assume(d != 0 and D != 0 and d * d != D)
         R = d * d - D
+        assume(valid_params(p, d, R))
         params = InstanceParams.create(p, d, R)
         sym = trace_poly_symbolic(p).map(lambda c: c.subs(d, D))
         assert sym == trace_poly(params)
@@ -99,8 +100,8 @@ class TestSqrtPartPoly:
     @given(small_fractions, small_fractions, st.sampled_from([3, 5, 7, 9]))
     @settings(max_examples=40)
     def test_cleared_form_matches_concrete(self, d, D, p):
-        assume(d != 0 and D != 0 and d * d != D)
         R = d * d - D
+        assume(valid_params(p, d, R))
         params = InstanceParams.create(p, d, R)
         cleared = sqrt_part_symbolic(p)
         den = cleared.denominator.subs(d, D)
@@ -132,8 +133,8 @@ class TestCofactorPoly:
     @given(small_fractions, small_fractions, st.sampled_from([3, 5, 7, 9]))
     @settings(max_examples=40)
     def test_cleared_form_matches_concrete(self, d, D, p):
-        assume(d != 0 and D != 0 and d * d != D)
         R = d * d - D
+        assume(valid_params(p, d, R))
         params = InstanceParams.create(p, d, R)
         cleared = cofactor_symbolic(p)
         den = cleared.denominator.subs(d, D)
@@ -158,15 +159,14 @@ class TestDefiningPolys:
         assert g == Poly(expected)
 
     def test_square_R_rejected(self):
-        params = InstanceParams.create(3, 3, 4)
-        with pytest.raises(ValueError, match="square"):
-            defining_polys(params)
+        # A square R never reaches defining_polys: InstanceParams.create rejects it.
+        with pytest.raises(ReductionError, match="R = 4 is a rational square"):
+            defining_polys(InstanceParams.create(3, 3, 4))
 
     @given(small_fractions, small_fractions, st.sampled_from([3, 5, 7]))
     @settings(max_examples=40)
     def test_conjugate_factorization(self, d, R, p):
         assume(valid_params(p, d, R))
-        assume(rational_is_square(F(R)) is None)
         params = InstanceParams.create(p, d, R)
         g, h_plus, h_minus = defining_polys(params)
         lifted = g.map(lambda q: QuadExt(q, 0, params.R))

@@ -16,11 +16,9 @@ from radreduce.exactnum import (
     rational_is_square,
     rational_odd_root,
     sqrt_of,
-    squarefree_part,
 )
 
 fractions_small = st.fractions(min_value=-50, max_value=50, max_denominator=12)
-nonzero_fractions = fractions_small.filter(lambda q: q != 0)
 
 
 class TestParseFormat:
@@ -98,31 +96,6 @@ class TestOddRoot:
         z = rational_odd_root(q, p)
         if z is not None:
             assert z**p == q
-
-
-class TestSquarefreePart:
-    def test_six_times_square(self):
-        assert squarefree_part(Fraction(4656966)) == 6
-
-    def test_fifty(self):
-        assert squarefree_part(Fraction(50)) == 2
-
-    def test_negative_fraction(self):
-        assert squarefree_part(Fraction(-8, 9)) == -2
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            squarefree_part(Fraction(0))
-
-    @given(nonzero_fractions, nonzero_fractions)
-    def test_invariant_under_square_factors(self, q, s):
-        assert squarefree_part(q * s * s) == squarefree_part(q)
-
-    @given(nonzero_fractions)
-    def test_result_is_squarefree(self, q):
-        m = squarefree_part(q)
-        for prime in factorize(abs(m)):
-            assert m % (prime * prime) != 0
 
 
 class TestFactorize:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radreduce.exactnum import QuadExt, rational_odd_root
-from radreduce.poly import Poly
+from radreduce.construct import InstanceParams, defining_polys
+from radreduce.exactnum import QuadExt, rational_is_square, rational_odd_root
+from radreduce.poly import Poly, rational_roots
 from radreduce.reduction import (
     ReductionError,
     classify,
@@ -70,6 +71,30 @@ class TestReduceGoldenInstances:
 
     def test_deterministic(self):
         assert reduce_radical(7, -2158, 4656966) == reduce_radical(7, -2158, 4656966)
+
+
+@st.composite
+def valid_instances(draw):
+    """(p, d, R) with sqrt(R) irrational.  Half the draws put R at k times the
+    square (r^p - d)^2 that a rational zero r of g would require."""
+    p = draw(st.sampled_from([3, 5, 7, 9]))
+    d = draw(st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool))
+    if draw(st.booleans()):
+        R = draw(st.fractions(min_value=-30, max_value=30, max_denominator=4))
+    else:
+        r = draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
+        R = draw(st.sampled_from([2, 3, 5, -1, -2, -3])) * (r**p - d) ** 2
+    assume(R != 0 and R != d * d and rational_is_square(R) is None)
+    return p, d, R
+
+
+class TestValidityDecidesConditions:
+    @given(valid_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_g_has_no_rational_roots(self, instance):
+        # The proof in the NecessaryConditions docstring, against a full scan.
+        g, _, _ = defining_polys(InstanceParams.create(*instance))
+        assert rational_roots(g) == set()
 
 
 class TestReduceErrors:
@@ -240,21 +265,21 @@ class TestClassify:
     def test_septic_instance(self):
         report = classify(7, -2158, 4656966)
         assert report.applicable
-        # squarefree parts: 6 versus -7
+        # 4656966 * (-7) = -42 * 881^2 is not a square
         assert report.prop2_field_equal is False
         assert report.prop3_case == "b"
 
     def test_quintic_instance(self):
         report = classify(5, 2, 5)
         assert report.applicable
-        # squarefree_part(5) == squarefree_part((-1)^2 * 5)
+        # 5 * (-1)^2 * 5 = 25 is a square
         assert report.prop2_field_equal is True
         assert report.prop3_case == "a"  # D = -1 = (-1)^5
 
     def test_cubic_instance(self):
         report = classify(3, -7, 50)
         assert report.applicable
-        # squarefree_part(50) = 2, squarefree_part(-3) = -3
+        # 50 * (-3) = -150 is not a square
         assert report.prop2_field_equal is False
         assert report.prop3_case == "a"
 
