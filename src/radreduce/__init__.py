@@ -7,74 +7,57 @@ All core arithmetic is exact (arbitrary-precision rationals); numeric
 routines exist only to cross-validate with high-precision residuals.
 """
 
-from .construct import (
-    ClearedForm,
-    InstanceParams,
-    cofactor_poly,
-    cofactor_symbolic,
-    defining_polys,
-    sqrt_part_poly,
-    sqrt_part_symbolic,
-    trace_poly,
-    trace_poly_symbolic,
-)
-from .exactnum import (
-    QuadExt,
-    Rational,
-    parse_rational,
-    rational_is_square,
-    rational_odd_root,
-)
-from .identity import (
-    VerificationReport,
-    verify_all,
-    verify_expansion,
-    verify_fundamental_identity,
-    verify_recurrences,
-)
-from .poly import ParamPoly, Poly, rational_roots
-from .reduction import (
-    CaseReport,
-    ReductionError,
-    ReductionResult,
-    classify,
-    construct_example,
-    euclid_biquadratic,
-    euclid_denest,
-    reduce_radical,
-)
+import importlib
 
-__all__ = [
-    "CaseReport",
-    "ClearedForm",
-    "InstanceParams",
-    "ParamPoly",
-    "Poly",
-    "QuadExt",
-    "Rational",
-    "ReductionError",
-    "ReductionResult",
-    "VerificationReport",
-    "classify",
-    "cofactor_poly",
-    "cofactor_symbolic",
-    "construct_example",
-    "defining_polys",
-    "euclid_biquadratic",
-    "euclid_denest",
-    "parse_rational",
-    "rational_is_square",
-    "rational_odd_root",
-    "rational_roots",
-    "reduce_radical",
-    "sqrt_part_poly",
-    "sqrt_part_symbolic",
-    "trace_poly",
-    "trace_poly_symbolic",
-    "verify_all",
-    "verify_expansion",
-    "verify_fundamental_identity",
-    "verify_recurrences",
-]
+# Where each public name lives.  A name's module is imported on first access
+# (PEP 562), so `import radreduce` alone loads no submodule, and a command that
+# needs only the coefficient families never loads the rest.
+_EXPORTS = {
+    "ClearedForm": "construct",
+    "InstanceParams": "construct",
+    "cofactor_poly": "construct",
+    "cofactor_symbolic": "construct",
+    "defining_polys": "construct",
+    "sqrt_part_poly": "construct",
+    "sqrt_part_symbolic": "construct",
+    "trace_poly": "construct",
+    "trace_poly_symbolic": "construct",
+    "QuadExt": "exactnum",
+    "Rational": "exactnum",
+    "parse_rational": "exactnum",
+    "rational_is_square": "exactnum",
+    "rational_odd_root": "exactnum",
+    "VerificationReport": "identity",
+    "verify_all": "identity",
+    "verify_expansion": "identity",
+    "verify_fundamental_identity": "identity",
+    "verify_recurrences": "identity",
+    "ParamPoly": "poly",
+    "Poly": "poly",
+    "rational_roots": "poly",
+    "CaseReport": "reduction",
+    "ReductionError": "reduction",
+    "ReductionResult": "reduction",
+    "classify": "reduction",
+    "construct_example": "reduction",
+    "euclid_biquadratic": "reduction",
+    "euclid_denest": "reduction",
+    "reduce_radical": "reduction",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"

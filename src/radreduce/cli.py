@@ -12,9 +12,14 @@ Subcommands:
 * verify    - symbolic identity sweep for all odd p up to --p-max
 * selftest  - golden-instance acceptance checks, nonzero exit on mismatch
 
-All rational inputs and outputs use the exact text format '-2158' / '6/11';
+All rational inputs and outputs use the exact text format '-2158' / '6/11'
+(ASCII digits, an optional leading '-'; integer flags take no '/');
 JSON output is byte-deterministic for identical inputs.  Exit codes: 0 ok,
 1 verification failure, 2 usage or domain error.
+
+Each subcommand imports the modules it runs when it runs, so a process loads
+only what its command needs; mpmath is loaded only by `reduce --numeric` and
+`selftest`.
 """
 
 from __future__ import annotations
@@ -25,19 +30,13 @@ import re
 import sys
 from fractions import Fraction
 
-from .coeffs import coeff_a, coeff_c, coeff_cprime, coeff_u, system_C
-from .exactnum import QuadExt, parse_rational
-from .identity import verify_all
-from .numeric import DEFAULT_BITS, ZERO_MARGIN_BITS, PrecisionError, branch_residuals
-from .numeric import decimal_str, tolerance_exp
-from .poly import Poly
-from .reduction import (
-    ReductionError,
-    classify,
-    construct_example,
-    euclid_biquadratic,
-    euclid_denest,
-    reduce_radical,
+from .exactnum import (
+    DEFAULT_BITS,
+    ZERO_MARGIN_BITS,
+    PrecisionError,
+    QuadExt,
+    parse_rational,
+    tolerance_exp,
 )
 
 
@@ -52,16 +51,20 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _odd_p(text: str) -> int:
-    value = int(text)
-    if value < 3 or value % 2 == 0:
-        raise argparse.ArgumentTypeError(f"p must be an odd integer >= 3, got {value}")
-    return value
+def _integer(text: str) -> int:
+    """An integer in the rational text format, without a denominator."""
+    try:
+        value = parse_rational(text)
+    except ValueError:
+        value = None
+    if value is None or "/" in text:
+        raise argparse.ArgumentTypeError(f"not an integer literal: {text!r}")
+    return int(value)
 
 
 def _int_in_range(low: int, high: int | None = None):
     def parse(text: str) -> int:
-        value = int(text)
+        value = _integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         if high is not None and value > high:
@@ -73,12 +76,22 @@ def _int_in_range(low: int, high: int | None = None):
 
 # Residuals are required below 2^-(bits - 56) by default, so fewer bits have no
 # bound.  The upper limits keep one run to seconds: on a 2-CPU Xeon,
-# `verify --p-max 201` takes about 7 s and the septic
+# `coeffs --p 1001 --family C` solves its O(p^3) system in about 1.5 s (22 s
+# at p = 2001), `verify --p-max 201` takes about 7 s and the septic
 # `reduce --numeric --bits 65536` about 6 s.
+MAX_P = 1001
 MAX_BITS = 65536
 MAX_P_MAX = 201
+_p_in_range = _int_in_range(3, MAX_P)
 _bits = _int_in_range(ZERO_MARGIN_BITS + 1, MAX_BITS)
 _tolerance_exp = _int_in_range(0)
+
+
+def _odd_p(text: str) -> int:
+    value = _p_in_range(text)
+    if value % 2 == 0:
+        raise argparse.ArgumentTypeError(f"must be odd, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,6 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_reduce(args) -> int:
+    from .reduction import reduce_radical
+
     result = reduce_radical(args.p, args.d, args.R)
     obj = result.to_json()
     if args.numeric:
@@ -163,6 +178,8 @@ def cmd_reduce(args) -> int:
                 "note": "branch values are non-real (R < 0); real-mode residuals unavailable",
             }
         else:
+            from .numeric import branch_residuals, decimal_str
+
             res = branch_residuals(result, args.bits)
             # Relative to the size of the terms that cancel in (v^p - d)^2 - R.
             d, R = result.params.d, result.params.R
@@ -180,6 +197,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .reduction import construct_example
+
     params, g = construct_example(args.p, args.D, args.u)
     _emit(
         {
@@ -195,6 +214,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_euclid(args) -> int:
+    from .reduction import euclid_biquadratic, euclid_denest
+
     if args.fourth:
         denesting = euclid_biquadratic(args.d, args.R)
         kind = "fourth"
@@ -222,11 +243,15 @@ def cmd_euclid(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .reduction import classify
+
     _emit(classify(args.p, args.d, args.R).to_json())
     return 0
 
 
 def cmd_coeffs(args) -> int:
+    from .coeffs import coeff_a, coeff_c, coeff_cprime, coeff_u, system_C
+
     p = args.p
     half = (p - 1) // 2
     if args.family == "c":
@@ -256,12 +281,21 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .identity import verify_all
+
     reports = [verify_all(p).to_json() for p in range(3, args.p_max + 1, 2)]
     _emit(reports)
     return 0 if all(r["ok"] for r in reports) else 1
 
 
 def _selftest_checks(bits: int, tol_exp: int | None) -> list[dict]:
+    from .poly import Poly
+    from .reduction import construct_example, euclid_biquadratic, euclid_denest, reduce_radical
+
+    # mpmath after the exact modules: without a bytecode cache, compiling them
+    # on top of mpmath's heap raises the peak RSS of the process.
+    from .numeric import branch_residuals, decimal_str
+
     checks: list[dict] = []
     tol = Fraction(1, 2 ** tolerance_exp(bits, tol_exp))
 
@@ -359,8 +393,9 @@ _DISPATCH = {
 
 
 # Exit code for each exception `main` reports as a one-line error; any other
-# exception is a fault of the program and keeps its traceback.
-_EXIT_CODES = {ReductionError: 2, ValueError: 2, ZeroDivisionError: 2, PrecisionError: 2}
+# exception is a fault of the program and keeps its traceback.  ReductionError
+# is a ValueError.
+_EXIT_CODES = {ValueError: 2, ZeroDivisionError: 2, PrecisionError: 2}
 
 
 def main(argv=None) -> int:

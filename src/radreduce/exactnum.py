@@ -9,6 +9,10 @@ root predicates the reduction machinery needs:
 
 and, for the rational-root search, integer factorization and divisor lists.
 
+It also holds the precision defaults and `PrecisionError` of the numeric
+checks, so that the command line can parse and report them without importing
+`numeric` and with it mpmath.
+
 ``QuadExt`` represents an element a + b*sqrt(R) of the quadratic extension
 Q(sqrt(R)) for a fixed non-square R, with exact componentwise arithmetic.
 """
@@ -26,10 +30,26 @@ Rational = Fraction
 # bound must raise rather than return a wrong answer.
 FACTOR_BOUND = 10**6
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+# ASCII digits only: `\d` would also match other scripts' digits.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+DEFAULT_BITS = 256
+
+# Residual exponent margin: "is a zero" means relative residual < 2^-(B - 56).
+ZERO_MARGIN_BITS = 56
+
+
+def tolerance_exp(bits: int, tol_exp: int | None = None) -> int:
+    """Exponent E of the residual bound 2^-E: `tol_exp` when given, otherwise
+    bits - ZERO_MARGIN_BITS."""
+    return tol_exp if tol_exp is not None else bits - ZERO_MARGIN_BITS
+
+
+class PrecisionError(ArithmeticError):
+    """Results at precisions B and 2B disagree beyond tolerance."""
 
 
 class FactorizationError(ValueError):
@@ -38,7 +58,7 @@ class FactorizationError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical rational text format: '-2158', '6/11'."""
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in text and int(text.split("/")[1]) == 0:
         raise ValueError(f"zero denominator: {text!r}")

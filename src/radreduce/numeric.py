@@ -21,25 +21,12 @@ from mpmath import mp, mpc, mpf
 
 from . import exprtree as et
 from .construct import InstanceParams, trace_poly
+from .exactnum import DEFAULT_BITS, PrecisionError, tolerance_exp
 from .poly import Poly, rational_roots
 
-DEFAULT_BITS = 256
-
-# Residual exponent margin: "is a zero" means relative residual < 2^-(B - 56).
-ZERO_MARGIN_BITS = 56
 # Dual-precision agreement margin: B and 2B runs must agree to 2^-(B - 16).
 AGREEMENT_MARGIN_BITS = 16
 _GUARD = 32
-
-
-def tolerance_exp(bits: int, tol_exp: int | None = None) -> int:
-    """Exponent E of the residual bound 2^-E: `tol_exp` when given, otherwise
-    bits - ZERO_MARGIN_BITS."""
-    return tol_exp if tol_exp is not None else bits - ZERO_MARGIN_BITS
-
-
-class PrecisionError(ArithmeticError):
-    """Results at precisions B and 2B disagree beyond tolerance."""
 
 
 class EvalDomainError(ValueError):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from radreduce.cli import MAX_BITS, MAX_P_MAX, build_parser, main
+from radreduce.cli import MAX_BITS, MAX_P, MAX_P_MAX, build_parser, main
 
 SEPTIC_NUMERIC = ["reduce", "--p", "7", "--d", "-2158", "--R", "4656966", "--numeric"]
 # construct_example(11, -2, 20): residual about 4e-60, about 4e-85 relative to R.
@@ -53,9 +53,9 @@ class TestReduceCommand:
         "factor,ok", [(2, False), (F(1, 2), True)], ids=["twice-bound", "half-bound"]
     )
     def test_residual_against_scaled_bound(self, capsys, monkeypatch, factor, ok):
-        import radreduce.cli as cli_mod
+        import radreduce.numeric as numeric_mod
 
-        real = cli_mod.branch_residuals
+        real = numeric_mod.branch_residuals
         # max(1, d^2, |R|) = R = 4656966 for the septic instance.
         bound = F(4656966, 2**200)
 
@@ -63,7 +63,7 @@ class TestReduceCommand:
             res = real(*args, **kwargs)
             return {**res, "max_residual": factor * bound}
 
-        monkeypatch.setattr(cli_mod, "branch_residuals", scaled)
+        monkeypatch.setattr(numeric_mod, "branch_residuals", scaled)
         code, out = run(capsys, *SEPTIC_NUMERIC)
         assert code == 0
         assert json.loads(out)["numeric"]["residual_bound_ok"] is ok
@@ -179,15 +179,15 @@ class TestVerifyCommand:
         assert [r["p"] for r in json.loads(out)] == [3, 5, 7, 9]
 
     def test_failing_check_yields_exit_1(self, capsys, monkeypatch):
+        import radreduce.identity as identity_mod
         from radreduce.identity import VerificationReport
-        import radreduce.cli as cli_mod
 
         def broken(p):
             report = VerificationReport(p)
             report.add("forced-failure", False, "Z^0: injected")
             return report
 
-        monkeypatch.setattr(cli_mod, "verify_all", broken)
+        monkeypatch.setattr(identity_mod, "verify_all", broken)
         code, out = run(capsys, "verify", "--p-max", "3")
         assert code == 1
         assert json.loads(out)[0]["ok"] is False
@@ -252,6 +252,10 @@ class TestCliContract:
             ["verify", "--p-max", str(MAX_P_MAX)],
             SEPTIC_NUMERIC + ["--bits", str(MAX_BITS)],
             ["selftest", "--bits", str(MAX_BITS)],
+            ["reduce", "--p", str(MAX_P), "--d", "2", "--R", "5"],
+            ["construct", "--p", str(MAX_P), "--D", "-2", "--u", "4"],
+            ["classify", "--p", str(MAX_P), "--d", "2", "--R", "5"],
+            ["coeffs", "--p", str(MAX_P), "--family", "C"],
         ],
     )
     def test_upper_limits_accepted(self, argv):
@@ -264,6 +268,10 @@ class TestCliContract:
             ["verify", "--p-max", str(MAX_P_MAX + 1)],
             SEPTIC_NUMERIC + ["--bits", str(MAX_BITS + 1)],
             ["selftest", "--bits", str(MAX_BITS + 1)],
+            ["reduce", "--p", str(MAX_P + 2), "--d", "2", "--R", "5"],
+            ["construct", "--p", str(MAX_P + 2), "--D", "-2", "--u", "4"],
+            ["classify", "--p", str(MAX_P + 2), "--d", "2", "--R", "5"],
+            ["coeffs", "--p", str(MAX_P + 2), "--family", "C"],
         ],
     )
     def test_above_upper_limits_exit_2(self, capsys, argv):
@@ -275,6 +283,36 @@ class TestCliContract:
         assert len(captured.err.splitlines()) == 1
         assert "must be <=" in captured.err
 
+    # Not the text format, though int() or Fraction() accepts most of these.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--p", "5", "--d", "\u0663", "--R", "5"],
+            ["reduce", "--p", "5", "--d", "2", "--R", "5\n"],
+            ["reduce", "--p", "1_1", "--d", "2", "--R", "5"],
+            ["classify", "--p", "\u0663", "--d", "2", "--R", "5"],
+            ["coeffs", "--p", "+5", "--family", "c"],
+            ["coeffs", "--p", " 5", "--family", "c"],
+            ["coeffs", "--p", "15/3", "--family", "c"],
+            ["verify", "--p-max", "1_1"],
+            SEPTIC_NUMERIC + ["--bits", "2\u0665\u0666"],
+            SEPTIC_NUMERIC + ["--tolerance-exp", "10\n"],
+            ["selftest", "--bits", "25_6"],
+        ],
+        ids=[
+            "d-arabic-indic", "R-newline", "p-underscore", "p-arabic-indic", "p-plus",
+            "p-space", "p-fraction", "p-max-underscore", "bits-arabic-indic",
+            "tolerance-exp-newline", "selftest-bits-underscore",
+        ],
+    )
+    def test_non_canonical_literal_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
     def test_smallest_accepted_bits(self, capsys):
         code, out = run(capsys, *SEPTIC_NUMERIC, "--bits", "57", "--tolerance-exp", "0")
         assert code == 0
@@ -282,13 +320,13 @@ class TestCliContract:
 
     @pytest.mark.parametrize("argv", [SEPTIC_NUMERIC, ["selftest"]])
     def test_precision_error_exits_2(self, capsys, monkeypatch, argv):
-        import radreduce.cli as cli_mod
+        import radreduce.numeric as numeric_mod
         from radreduce.numeric import PrecisionError
 
         def unstable(*args, **kwargs):
             raise PrecisionError("branch sign unstable between precisions")
 
-        monkeypatch.setattr(cli_mod, "branch_residuals", unstable)
+        monkeypatch.setattr(numeric_mod, "branch_residuals", unstable)
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2

@@ -22,7 +22,9 @@ rationals = st.one_of(
         st.integers(min_value=1, max_value=4),
     ),
 )
-malformed = st.sampled_from(["", "1.5", "1/0", "+3", "2/-3", "abc", "0x10", "1/2/3", " 1"])
+# int() or Fraction() accepts these; the text format does not.
+non_canonical = ["\u0663", "5\n", "1_1"]
+malformed = st.sampled_from(["", "1.5", "1/0", "+3", "2/-3", "abc", "0x10", "1/2/3", " 1", *non_canonical])
 
 
 def mostly(valid, invalid):
@@ -31,10 +33,16 @@ def mostly(valid, invalid):
 
 
 literal = mostly(rationals, malformed)
-p_values = mostly(st.sampled_from([3, 5, 7, 9, 11, 13]), st.sampled_from([-3, 0, 1, 2, 4, 12, "x"])).map(str)
-bits = mostly(st.sampled_from([57, 64, 128, 256]), st.sampled_from([-1, 0, 8, 56, 65537, 10**6, "x"])).map(str)
-tolerance_exp = mostly(st.sampled_from([0, 10, 200]), st.sampled_from([-1, -7, "x"])).map(str)
-p_max = mostly(st.integers(min_value=3, max_value=21), st.sampled_from([-1, 0, 2, 202, 10**6, "x"])).map(str)
+p_values = mostly(
+    st.sampled_from([3, 5, 7, 9, 11, 13]), st.sampled_from([-3, 0, 1, 2, 4, 12, 1003, "x", *non_canonical])
+).map(str)
+bits = mostly(
+    st.sampled_from([57, 64, 128, 256]), st.sampled_from([-1, 0, 8, 56, 65537, 10**6, "x", *non_canonical])
+).map(str)
+tolerance_exp = mostly(st.sampled_from([0, 10, 200]), st.sampled_from([-1, -7, "x", *non_canonical])).map(str)
+p_max = mostly(
+    st.integers(min_value=3, max_value=21), st.sampled_from([-1, 0, 2, 202, 10**6, "x", *non_canonical])
+).map(str)
 
 
 def flag(name, values):

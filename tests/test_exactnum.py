@@ -33,6 +33,17 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    # int() and Fraction() accept these; the text format does not.
+    @pytest.mark.parametrize(
+        "bad",
+        ["\u0663", "5\n", "1_1", " 1", "1/\u0663", "\uff17"],
+        ids=["arabic-indic-digit", "trailing-newline", "underscore", "leading-space",
+             "arabic-indic-denominator", "fullwidth-digit"],
+    )
+    def test_rejects_non_canonical(self, bad):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(bad)
+
     @given(fractions_small)
     def test_roundtrip(self, q):
         assert parse_rational(str(q)) == q
