@@ -295,13 +295,3 @@ class QuadExt:
         coef = "" if self.b == 1 else f"{self.b}*"
         s = f"{head}{coef}{root}"
         return s.replace("+ -", "- ")
-
-
-def quadext_of(q, R) -> QuadExt:
-    """Embed a rational into Q(sqrt(R))."""
-    return QuadExt(Fraction(q), Fraction(0), Fraction(R))
-
-
-def sqrt_of(R) -> QuadExt:
-    """The element sqrt(R) itself."""
-    return QuadExt(Fraction(0), Fraction(1), Fraction(R))

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import parse_rational
-
 
 class Expr:
     """Base class; concrete nodes below."""
@@ -109,20 +107,3 @@ def add(*terms: Expr) -> Add:
 
 def mul(*factors: Expr) -> Mul:
     return Mul(tuple(factors))
-
-
-def from_json(obj: dict) -> Expr:
-    kind = obj.get("kind")
-    if kind == "rational":
-        return Rat(parse_rational(obj["value"]))
-    if kind == "sqrt":
-        return Sqrt(from_json(obj["arg"]))
-    if kind == "nth-root":
-        return NthRoot(from_json(obj["arg"]), int(obj["degree"]))
-    if kind == "add":
-        return Add(tuple(from_json(t) for t in obj["terms"]))
-    if kind == "mul":
-        return Mul(tuple(from_json(f) for f in obj["factors"]))
-    if kind == "pow":
-        return Pow(from_json(obj["base"]), int(obj["exponent"]))
-    raise ValueError(f"unknown expression node kind: {kind!r}")

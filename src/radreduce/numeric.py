@@ -1,10 +1,12 @@
 """High-precision numeric validation of reduction results.
 
-Expression trees are evaluated with square and odd p-th roots computed by
-Newton iteration at the working precision, seeded from 53-bit estimates.
+Expression trees are evaluated with real square and odd p-th roots, each
+computed by one Newton routine at the working precision from a 53-bit seed.
 Error control is by dual-precision agreement: every published value is
-computed at B and 2B bits and accepted only if the two agree to the target
-tolerance; disagreement raises, never passes silently.
+computed once at B and once at 2B bits, and one gate accepts the pair only if
+they agree to 2^-(B - 16) relative to the 2B value; disagreement raises,
+never passes silently.  Branch residuals and signs are read off the same two
+values.
 
 The root-map check computes one complex zero y of Z^p - (d + sqrt(R)), forms
 the p scaled conjugate sums u_k = z^((p-1)/2) (y zeta^k + y' zeta^-k) with a
@@ -22,11 +24,13 @@ from mpmath import mp, mpc, mpf
 from . import exprtree as et
 from .construct import InstanceParams, trace_poly
 from .exactnum import DEFAULT_BITS, PrecisionError, tolerance_exp
-from .poly import Poly, rational_roots
+from .poly import rational_roots
 
 # Dual-precision agreement margin: B and 2B runs must agree to 2^-(B - 16).
 AGREEMENT_MARGIN_BITS = 16
 _GUARD = 32
+# Largest p that verify_root_map accepts.
+ROOT_MAP_MAX_P = 13
 
 
 class EvalDomainError(ValueError):
@@ -56,31 +60,14 @@ def _from_fraction(q: Fraction):
     return mpf(q.numerator) / mpf(q.denominator)
 
 
-def _newton_sqrt(x):
-    """Square root of x >= 0 by Newton iteration at the ambient precision."""
-    if x == 0:
-        return mpf(0)
-    if x < 0:
-        raise EvalDomainError("square root of a negative real in real mode")
-    with mp.workprec(53):
-        r = x ** mpf("0.5")
-    eps = mpf(2) ** (-(mp.prec - 8))
-    for _ in range(64):
-        r_next = (r + x / r) / 2
-        converged = abs(r_next - r) <= abs(r_next) * eps
-        r = r_next
-        if converged:
-            break
-    if abs(r * r - x) > abs(x) * mpf(2) ** (-(mp.prec - 16)):
-        raise PrecisionError("square-root Newton iteration failed to converge")
-    return r
-
-
-def _newton_nth_root(x, n: int):
-    """Real n-th root of x for odd n >= 3 (sign symmetry handles x < 0)."""
+def _newton_root(x, n: int):
+    """Real n-th root of x (n = 2, or odd n >= 3) by Newton iteration at the
+    ambient precision.  Odd n takes x < 0 by sign symmetry; n = 2 rejects it."""
     if x == 0:
         return mpf(0)
     negative = x < 0
+    if negative and n == 2:
+        raise EvalDomainError("square root of a negative real in real mode")
     ax = -x if negative else x
     with mp.workprec(53):
         r = ax ** (mpf(1) / n)
@@ -92,7 +79,7 @@ def _newton_nth_root(x, n: int):
         if converged:
             break
     if abs(r**n - ax) > abs(ax) * mpf(2) ** (-(mp.prec - 16)):
-        raise PrecisionError("n-th-root Newton iteration failed to converge")
+        raise PrecisionError(f"degree-{n} root Newton iteration failed to converge")
     return -r if negative else r
 
 
@@ -100,9 +87,9 @@ def _eval(node: et.Expr):
     if isinstance(node, et.Rat):
         return _from_fraction(node.value)
     if isinstance(node, et.Sqrt):
-        return _newton_sqrt(_eval(node.arg))
+        return _newton_root(_eval(node.arg), 2)
     if isinstance(node, et.NthRoot):
-        return _newton_nth_root(_eval(node.arg), node.degree)
+        return _newton_root(_eval(node.arg), node.degree)
     if isinstance(node, et.Add):
         total = mpf(0)
         for term in node.terms:
@@ -129,13 +116,9 @@ def eval_expression(tree: et.Expr, bits: int = DEFAULT_BITS):
         return _eval(tree)
 
 
-def eval_dual(tree: et.Expr, bits: int = DEFAULT_BITS):
-    """Evaluate at bits and 2*bits; raise PrecisionError on disagreement.
-
-    Returns the value computed at `bits`.
-    """
-    low = eval_expression(tree, bits)
-    high = eval_expression(tree, 2 * bits)
+def _check_agreement(low, high, bits: int) -> None:
+    """The dual-precision gate: raise PrecisionError unless the values computed
+    at `bits` and `2*bits` agree to 2^-(bits - 16) * (1 + |high|)."""
     with mp.workprec(2 * bits + _GUARD):
         tol = mpf(2) ** (-(bits - AGREEMENT_MARGIN_BITS)) * (1 + abs(high))
         if abs(low - high) > tol:
@@ -143,24 +126,26 @@ def eval_dual(tree: et.Expr, bits: int = DEFAULT_BITS):
                 f"precision-{bits} and precision-{2 * bits} values disagree: "
                 f"{low} vs {high}"
             )
+
+
+def eval_dual(tree: et.Expr, bits: int = DEFAULT_BITS):
+    """Evaluate at bits and 2*bits; raise PrecisionError on disagreement.
+
+    Returns the value computed at `bits`.
+    """
+    low = eval_expression(tree, bits)
+    _check_agreement(low, eval_expression(tree, 2 * bits), bits)
     return low
-
-
-def _branch_residual(tree: et.Expr, params: InstanceParams, bits: int):
-    """(residual, sign) at one precision: |(v^p - d)^2 - R| and sign of v^p - d."""
-    with mp.workprec(bits + _GUARD):
-        v = _eval(tree)
-        w = v**params.p - _from_fraction(params.d)
-        resid = abs(w * w - _from_fraction(params.R))
-        return resid, (1 if w > 0 else -1)
 
 
 def branch_residuals(result, bits: int = DEFAULT_BITS) -> dict:
     """Residuals |(v^p - d)^2 - R| for both reduction branches.
 
-    The branch values themselves are dual-precision checked; the residual is
-    reported at `bits` (it only shrinks at higher precision).  Also verifies
-    that one branch has v^p - d matching +sqrt(R) and the other -sqrt(R).
+    Each branch value v is evaluated once at `bits` and once at `2*bits`, and
+    the pair must pass the agreement gate.  The residual and the sign of
+    v^p - d are taken at both precisions from those same values; the larger
+    residual is reported, and the sign must not change.  Also verifies that
+    one branch has v^p - d matching +sqrt(R) and the other -sqrt(R).
     """
     if result.branches is None:
         raise ValueError("no branch expressions: u is irrational for this instance")
@@ -168,14 +153,19 @@ def branch_residuals(result, bits: int = DEFAULT_BITS) -> dict:
     residuals = []
     signs = []
     for tree in result.branches:
-        eval_dual(tree, bits)  # agreement gate on the branch value itself
-        resid, sign = _branch_residual(tree, params, bits)
-        resid2, sign2 = _branch_residual(tree, params, 2 * bits)
-        if sign != sign2:
+        low = eval_expression(tree, bits)
+        high = eval_expression(tree, 2 * bits)
+        _check_agreement(low, high, bits)
+        resids, branch_signs = [], set()
+        for v, prec_bits in ((low, bits), (high, 2 * bits)):
+            with mp.workprec(prec_bits + _GUARD):
+                w = v**params.p - _from_fraction(params.d)
+                resids.append(mpf_to_fraction(abs(w * w - _from_fraction(params.R))))
+                branch_signs.add(1 if w > 0 else -1)
+        if len(branch_signs) != 1:
             raise PrecisionError("branch sign unstable between precisions")
-        # Report the larger of the two as a conservative upper bound.
-        residuals.append(max(mpf_to_fraction(resid), mpf_to_fraction(resid2)))
-        signs.append(sign)
+        residuals.append(max(resids))
+        signs.append(branch_signs.pop())
     return {
         "residuals": residuals,
         "max_residual": max(residuals),
@@ -212,24 +202,17 @@ def zeta_two_ways(p: int, bits: int = DEFAULT_BITS):
     return w, series, mpf_to_fraction(diff)
 
 
-def _poly_eval_numeric(f: Poly, x):
-    acc = _from_fraction(Fraction(f.coeffs[-1]))
-    for c in reversed(f.coeffs[:-1]):
-        acc = acc * x + _from_fraction(Fraction(c))
-    return acc
-
-
 def _root_map_once(params: InstanceParams, bits: int) -> list:
     """The p scaled conjugate sums u_k at one working precision."""
     p = params.p
     with mp.workprec(bits + _GUARD):
         if params.R > 0:
-            sqrtR = _newton_sqrt(_from_fraction(params.R))
+            sqrtR = _newton_root(_from_fraction(params.R), 2)
         else:
-            sqrtR = mpc(0, _newton_sqrt(_from_fraction(-params.R)))
+            sqrtR = mpc(0, _newton_root(_from_fraction(-params.R), 2))
         w = _from_fraction(params.d) + sqrtR
         y = mp.exp(mp.log(mpc(w)) / p)  # principal complex p-th root
-        z = _newton_nth_root(_from_fraction(params.D), p)
+        z = _newton_root(_from_fraction(params.D), p)
         zeta, _, _ = zeta_two_ways(p, bits)
         y_conj = z / y
         zhalf = z ** ((p - 1) // 2)
@@ -241,45 +224,36 @@ def root_map_values(p: int, d, R, bits: int = DEFAULT_BITS) -> list:
     return _root_map_once(InstanceParams.create(p, d, R), bits)
 
 
-def verify_root_map(
-    p: int,
-    d,
-    R,
-    bits: int = DEFAULT_BITS,
-    tol_exp: int | None = None,
-    max_p: int = 13,
-) -> dict:
+def verify_root_map(p: int, d, R, bits: int = DEFAULT_BITS, tol_exp: int | None = None) -> dict:
     """Check that the p scaled conjugate sums are p distinct zeros of the
     trace polynomial (numerically, at two precisions).
 
     Relative residual tolerance defaults to 2^-(bits - 56); the residual is
-    scaled by sum_i |c_i| max(1, |u|)^i.  Intended for small p (the check is
-    O(p^2) at high precision); raise `max_p` explicitly for larger sweeps.
+    scaled by sum_i |c_i| max(1, |u|)^i.  Limited to p <= ROOT_MAP_MAX_P:
+    the check is O(p^2) at high precision.
     """
-    if p > max_p:
-        raise ValueError(f"p = {p} exceeds max_p = {max_p}; pass max_p explicitly")
+    if p > ROOT_MAP_MAX_P:
+        raise ValueError(f"p = {p} exceeds ROOT_MAP_MAX_P = {ROOT_MAP_MAX_P}")
     params = InstanceParams.create(p, d, R)
     f = trace_poly(params)
     tol_e = tolerance_exp(bits, tol_exp)
 
     u_low = _root_map_once(params, bits)
     u_high = _root_map_once(params, 2 * bits)
+    for lo, hi in zip(u_low, u_high):
+        _check_agreement(lo, hi, bits)
 
     with mp.workprec(2 * bits + _GUARD):
-        agree_tol = mpf(2) ** (-(bits - AGREEMENT_MARGIN_BITS))
-        for lo, hi in zip(u_low, u_high):
-            if abs(lo - hi) > agree_tol * (1 + abs(hi)):
-                raise PrecisionError("root-map values disagree between precisions")
-
         tol = mpf(2) ** (-tol_e)
-        abs_coeffs = [abs(_from_fraction(Fraction(c))) for c in f.coeffs]
+        f_num = f.map(_from_fraction)
+        abs_coeffs = [abs(c) for c in f_num.coeffs]
         max_rel = mpf(0)
         for u in u_high:
             mag = max(mpf(1), abs(u))
             scale = mpf(0)
             for i, c in enumerate(abs_coeffs):
                 scale += c * mag**i
-            rel = abs(_poly_eval_numeric(f, u)) / scale
+            rel = abs(f_num.evaluate(u)) / scale
             max_rel = max(max_rel, rel)
 
         min_dist = None

@@ -325,8 +325,9 @@ def rational_roots(f: Poly) -> set[Fraction]:
         g = math.gcd(g, c)
     ints = [c // g for c in ints]
 
+    dens = divisors(abs(ints[-1]))
     for num in divisors(abs(ints[0])):
-        for den in divisors(abs(ints[-1])):
+        for den in dens:
             cand = Fraction(num, den)
             for root in (cand, -cand):
                 if root not in roots and f.evaluate(root) == 0:

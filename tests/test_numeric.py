@@ -1,12 +1,16 @@
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from radreduce import exprtree as et
+from radreduce import numeric
+from radreduce.cli import main
 from radreduce.numeric import (
     EvalDomainError,
+    PrecisionError,
     branch_residuals,
     decimal_str,
     eval_dual,
@@ -49,14 +53,6 @@ class TestEvalExpression:
     def test_mul_add(self):
         tree = et.mul(et.rat(3), et.add(et.rat(1), et.rat(F(1, 3))))
         assert eval_expression(tree, 128) == 4
-
-    def test_json_roundtrip_evaluates_identically(self):
-        tree = et.mul(
-            et.Pow(et.NthRoot(et.rat(-2), 7), 4),
-            et.add(et.rat(-1), et.mul(et.rat(F(1, 1762)), et.Sqrt(et.rat(4656966)))),
-        )
-        clone = et.from_json(tree.to_json())
-        assert eval_expression(clone, 256) == eval_expression(tree, 256)
 
 
 class TestDualPrecision:
@@ -125,6 +121,20 @@ class TestBranchResiduals:
             for bv, qv in zip(branch_vals, quad_vals):
                 assert abs(bv - qv) < TWO**-200
 
+    def test_branch_residuals_evaluates_each_branch_once_per_precision(self, monkeypatch):
+        r = reduce_radical(7, -2158, 4656966)
+        real = numeric._eval
+        top_level = []
+
+        def counting(node):
+            if any(node is tree for tree in r.branches):
+                top_level.append(node)
+            return real(node)
+
+        monkeypatch.setattr(numeric, "_eval", counting)
+        branch_residuals(r, 256)
+        assert [sum(node is tree for node in top_level) for tree in r.branches] == [2, 2]
+
 
 class TestZetaTwoWays:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -173,3 +183,150 @@ class TestHelpers:
 
     def test_decimal_str(self):
         assert decimal_str(F(1, 4)) == "0.25"
+
+
+# The agreement gate accepts a B/2B pair when |low - high| <= 2^-(B - 16) (1 + |high|).
+GATE_BITS = 256
+GATE_CASES = pytest.mark.parametrize(
+    "shift,raises", [(20, True), (12, False)], ids=["above-tolerance", "below-tolerance"]
+)
+
+
+def _perturb_2b(monkeypatch, name, shift):
+    """Make numeric.<name>(arg, bits) move its 2B result(s) v by
+    2^-(B - shift) (1 + |v|): 16 times the gate's tolerance for shift = 20,
+    1/16 of it for shift = 12."""
+    real = getattr(numeric, name)
+
+    def nudge(v):
+        with mp.workprec(2 * GATE_BITS + 64):
+            return v + TWO ** -(GATE_BITS - shift) * (1 + abs(v))
+
+    def perturbed(arg, bits):
+        out = real(arg, bits)
+        if bits != 2 * GATE_BITS:
+            return out
+        return [nudge(v) for v in out] if isinstance(out, list) else nudge(out)
+
+    monkeypatch.setattr(numeric, name, perturbed)
+
+
+class TestAgreementGate:
+    @GATE_CASES
+    def test_eval_dual(self, monkeypatch, shift, raises):
+        tree = et.Sqrt(et.rat(2))
+        expected = eval_expression(tree, GATE_BITS)
+        _perturb_2b(monkeypatch, "eval_expression", shift)
+        if raises:
+            with pytest.raises(PrecisionError, match="disagree"):
+                eval_dual(tree, GATE_BITS)
+        else:
+            assert eval_dual(tree, GATE_BITS) == expected
+
+    @GATE_CASES
+    def test_branch_residuals(self, monkeypatch, shift, raises):
+        r = reduce_radical(7, -2158, 4656966)
+        _perturb_2b(monkeypatch, "eval_expression", shift)
+        if raises:
+            with pytest.raises(PrecisionError, match="disagree"):
+                branch_residuals(r, GATE_BITS)
+        else:
+            assert branch_residuals(r, GATE_BITS)["branch_signs_consistent"]
+
+    @GATE_CASES
+    def test_verify_root_map(self, monkeypatch, shift, raises):
+        _perturb_2b(monkeypatch, "_root_map_once", shift)
+        if raises:
+            with pytest.raises(PrecisionError, match="disagree"):
+                verify_root_map(7, -2158, 4656966, GATE_BITS)
+        else:
+            assert verify_root_map(7, -2158, 4656966, GATE_BITS)["ok"]
+
+
+def _stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+SEPTIC = ("reduce", "--p", "7", "--d", "-2158", "--R", "4656966", "--numeric")
+
+
+class TestCliOutputBytes:
+    """stdout of the numeric commands, byte for byte as recorded before the
+    dual-precision pass was merged into one evaluation per precision."""
+
+    @pytest.mark.parametrize(
+        "bits,sha256,numeric_tail",
+        [
+            (
+                256,
+                "08ddf6a72a27bd453d6391d7ef17e300a10014ee62ec3fcbcfea45d4b8f9a157",
+                '  "numeric": {\n    "bits": 256,\n    "residuals": [\n      "0.0",\n'
+                '      "4.5542295114755860329e-79"\n    ],\n'
+                '    "max_residual": "4.5542295114755860329e-79",\n'
+                '    "residual_bound": "2^-200",\n    "residual_bound_ok": true,\n'
+                '    "branch_signs_consistent": true\n  }\n}\n',
+            ),
+            (
+                1024,
+                "de62ab47e2104f060e2a39ab2d7d612ce8ee9c846c9feb3e6e48ca652bb6e1c2",
+                '  "numeric": {\n    "bits": 1024,\n    "residuals": [\n'
+                '      "1.0864618449742194253e-311",\n      "3.0420931659278143909e-310"\n'
+                '    ],\n    "max_residual": "3.0420931659278143909e-310",\n'
+                '    "residual_bound": "2^-968",\n    "residual_bound_ok": true,\n'
+                '    "branch_signs_consistent": true\n  }\n}\n',
+            ),
+        ],
+    )
+    def test_septic_reduce_numeric(self, capsys, bits, sha256, numeric_tail):
+        out = _stdout(capsys, *SEPTIC, "--bits", str(bits))
+        assert out.endswith(numeric_tail)
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_selftest(self, capsys):
+        out = _stdout(capsys, "selftest", "--bits", "256")
+        assert out == SELFTEST_256
+
+
+SELFTEST_256 = """\
+{
+  "checks": [
+    {
+      "name": "quintic-exact",
+      "pass": true,
+      "detail": "g, f, A, z and rational-root scan for (5, 2, 5)"
+    },
+    {
+      "name": "septic-exact",
+      "pass": true,
+      "detail": "g, D, u = 4 and irrational z for (7, -2158, 4656966)"
+    },
+    {
+      "name": "septic-numeric-residual",
+      "pass": true,
+      "detail": "max residual 4.5542295114755860329e-79 < 6.2230152778611417071e-61"
+    },
+    {
+      "name": "construction-roundtrip",
+      "pass": true,
+      "detail": "construct(7, -2, 4) gives d = -2158, R = 4656966 and reduce recovers u = 4"
+    },
+    {
+      "name": "cubic-exact-denesting",
+      "pass": true,
+      "detail": "branch -1 + sqrt(2) cubes to -7 + sqrt(50), verified in Q(sqrt(50))"
+    },
+    {
+      "name": "square-denesting",
+      "pass": true,
+      "detail": "sqrt(3 + sqrt(5)) = sqrt(5/2) + sqrt(1/2)"
+    },
+    {
+      "name": "fourth-denesting",
+      "pass": true,
+      "detail": "(7 + sqrt(48))^(1/4) = sqrt(sqrt(1) + 1/2) + sqrt(sqrt(1) - 1/2)"
+    }
+  ],
+  "ok": true
+}
+"""
