@@ -33,8 +33,12 @@ FACTOR_BOUND = 10**6
 # ASCII digits only: `\d` would also match other scripts' digits.
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the primes up to 41 decide primality for every
+# n < MR_PROVEN_BOUND (about 3.3 * 10^24), which is itself a strong
+# pseudoprime to all of them.  The primes up to 37 alone would stop at
+# 318665857834031151167461, a strong pseudoprime to each of those.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_PROVEN_BOUND = 3317044064679887385961981
 
 DEFAULT_BITS = 256
 
@@ -120,10 +124,10 @@ def rational_odd_root(q: Fraction, p: int) -> Fraction | None:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed witnesses (deterministic below 3.3e24)."""
+    """Miller-Rabin with fixed witnesses (deterministic below MR_PROVEN_BOUND)."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if n % small == 0:
             return n == small
     d = n - 1
@@ -144,10 +148,11 @@ def is_probable_prime(n: int) -> bool:
 
 def factorize(n: int, bound: int = FACTOR_BOUND) -> dict[int, int]:
     """Factor n >= 1 by trial division up to `bound`, with a perfect-power /
-    probable-prime fallback for the remaining cofactor.
+    Miller-Rabin fallback for the remaining cofactor.
 
-    Raises FactorizationError when the cofactor cannot be certified; a wrong
-    factorization is never returned.
+    Raises FactorizationError when the cofactor cannot be certified, which
+    includes every cofactor at or above MR_PROVEN_BOUND that is not a power of
+    a smaller prime; a wrong factorization is never returned.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -171,7 +176,7 @@ def factorize(n: int, bound: int = FACTOR_BOUND) -> dict[int, int]:
         # Remaining cofactor is prime (all divisors up to its sqrt removed).
         factors[n] = factors.get(n, 0) + 1
         return factors
-    if is_probable_prime(n):
+    if n < MR_PROVEN_BOUND and is_probable_prime(n):
         factors[n] = factors.get(n, 0) + 1
         return factors
     # Perfect-power fallback: n = b^e with b certifiably prime.
@@ -179,7 +184,7 @@ def factorize(n: int, bound: int = FACTOR_BOUND) -> dict[int, int]:
         b, exact = integer_nth_root(n, e)
         if b < 2:
             break
-        if exact and is_probable_prime(b):
+        if exact and b < MR_PROVEN_BOUND and is_probable_prime(b):
             factors[b] = factors.get(b, 0) + e
             return factors
     raise FactorizationError(f"cannot factor cofactor {n} within bound {bound}")

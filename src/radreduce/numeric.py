@@ -11,8 +11,11 @@ values.
 The root-map check computes one complex zero y of Z^p - (d + sqrt(R)), forms
 the p scaled conjugate sums u_k = z^((p-1)/2) (y zeta^k + y' zeta^-k) with a
 primitive p-th root of unity zeta, and confirms they are p distinct zeros of
-the trace polynomial.  zeta itself is computed two independent ways (Newton
-on w^p - 1 versus high-precision cosine/sine) and cross-checked.
+the trace polynomial.  When d < 0 < R the sum d + sqrt(R) would cancel, so it
+is taken in the norm form D / (d - sqrt(R)), equal to it because
+(d + sqrt(R))(d - sqrt(R)) = D, whose denominator adds two terms of one sign.
+zeta itself is computed two independent ways (Newton on w^p - 1 versus
+high-precision cosine/sine) and cross-checked.
 """
 
 from __future__ import annotations
@@ -210,7 +213,13 @@ def _root_map_once(params: InstanceParams, bits: int) -> list:
             sqrtR = _newton_root(_from_fraction(params.R), 2)
         else:
             sqrtR = mpc(0, _newton_root(_from_fraction(-params.R), 2))
-        w = _from_fraction(params.d) + sqrtR
+        d = _from_fraction(params.d)
+        if d < 0 < params.R:
+            # d + sqrt(R) cancels; the norm form D / (d - sqrt(R)) is the same
+            # number from two terms of one sign.
+            w = _from_fraction(params.D) / (d - sqrtR)
+        else:
+            w = d + sqrtR
         y = mp.exp(mp.log(mpc(w)) / p)  # principal complex p-th root
         z = _newton_root(_from_fraction(params.D), p)
         zeta, _, _ = zeta_two_ways(p, bits)

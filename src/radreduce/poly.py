@@ -10,7 +10,10 @@ with exact ring arithmetic and a truthiness test for zero.
 identity verification in Q[d, D][Z].
 
 ``rational_roots`` finds all rational zeros of a Fraction polynomial via the
-rational root theorem with exact confirmation of every candidate.
+rational root theorem, in integer arithmetic only: it skips candidates not in
+lowest terms, sieves the rest by divisibility of the primitive integer form F
+at Z = 1 and Z = -1 (Gauss's lemma), and confirms each survivor exactly with
+one homogeneous integer Horner pass.
 """
 
 from __future__ import annotations
@@ -297,9 +300,19 @@ class ParamPoly:
 def rational_roots(f: Poly) -> set[Fraction]:
     """All rational zeros of a nonzero polynomial with Fraction coefficients.
 
-    Clears denominators, enumerates candidates p/q with p dividing the
-    constant term and q the leading coefficient, and confirms each by exact
-    evaluation.  Multiplicity is not reported.
+    Clears denominators, strips Z^m (0 is a zero iff m > 0) and the content,
+    leaving a primitive integer form F of degree n.  Candidates are a/den
+    with |a| dividing the constant term and den > 0 the leading coefficient:
+
+    * a pair with gcd(a, den) > 1 is skipped, as its value was already tried
+      in lowest terms;
+    * a zero a/den in lowest terms gives F = (den*Z - a) * Q with Q in Z[Z]
+      (Gauss's lemma), so den - a must divide F(1) and den + a must divide
+      F(-1); a candidate failing either is rejected;
+    * a survivor is confirmed exactly by den^n * F(a/den) =
+      sum_i c_i a^i den^(n-i) == 0, computed in int by Horner.
+
+    No Fraction arithmetic runs per candidate.  Multiplicity is not reported.
     """
     if f.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
@@ -325,11 +338,25 @@ def rational_roots(f: Poly) -> set[Fraction]:
         g = math.gcd(g, c)
     ints = [c // g for c in ints]
 
+    at_one = sum(ints)
+    at_minus_one = sum(ints[::2]) - sum(ints[1::2])
     dens = divisors(abs(ints[-1]))
     for num in divisors(abs(ints[0])):
         for den in dens:
-            cand = Fraction(num, den)
-            for root in (cand, -cand):
-                if root not in roots and f.evaluate(root) == 0:
-                    roots.add(root)
+            if math.gcd(num, den) > 1:
+                continue
+            for a in (num, -num):
+                if not (_divides(den - a, at_one) and _divides(den + a, at_minus_one)):
+                    continue
+                acc, den_pow = ints[-1], 1
+                for c in reversed(ints[:-1]):
+                    den_pow *= den
+                    acc = acc * a + c * den_pow
+                if acc == 0:
+                    roots.add(Fraction(a, den))
     return roots
+
+
+def _divides(m: int, n: int) -> bool:
+    """Whether m divides n; 0 divides only 0."""
+    return n % m == 0 if m else n == 0

@@ -30,6 +30,14 @@ class TestReduceCommand:
         assert obj["D"] == "-1"
         assert obj["A"] == ["1/5", "1/5", "2/5", "0", "1/10"]
 
+    def test_divisor_rich_norm(self, capsys):
+        # D = 720720 = 2^4 3^2 5 7 11 13 gives the root search many divisor pairs.
+        code, out = run(capsys, "reduce", "--p", "9", "--d", "1", "--R", "-720719")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["D"] == "720720"
+        assert obj["u"] == "irrational"
+
     def test_numeric_flag(self, capsys):
         code, out = run(
             capsys, "reduce", "--p", "7", "--d", "-2158", "--R", "4656966",

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radreduce.exactnum import (
+    MR_PROVEN_BOUND,
     FactorizationError,
     QuadExt,
     divisors,
@@ -107,6 +108,10 @@ class TestOddRoot:
             assert z**p == q
 
 
+# 399165290221 * 798330580441, a strong pseudoprime to the bases 2, 3, ..., 37.
+SPSP_37 = 318665857834031151167461
+
+
 class TestFactorize:
     def test_small(self):
         assert factorize(4656966) == {2: 1, 3: 1, 881: 2}
@@ -123,11 +128,42 @@ class TestFactorize:
     def test_divisors(self):
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
 
+    def test_pseudoprime_cofactor_raises(self):
+        # A strong pseudoprime to every base up to 37, with no factor below 10^6.
+        with pytest.raises(FactorizationError):
+            factorize(SPSP_37)
+
+    @pytest.mark.parametrize("n", [2**89 - 1, (2**89 - 1) ** 2, 2 * (2**89 - 1)])
+    def test_prime_cofactor_at_or_above_proven_bound_raises(self, n):
+        # 2^89 - 1 is prime, but above MR_PROVEN_BOUND Miller-Rabin proves nothing.
+        with pytest.raises(FactorizationError):
+            factorize(n)
+
+    def test_power_of_proven_prime_above_bound(self):
+        p = 1000000000039  # prime, below MR_PROVEN_BOUND; p^3 is above it
+        assert p**3 >= MR_PROVEN_BOUND
+        assert factorize(p**3) == {p: 3}
+
 
 class TestPrimality:
-    @pytest.mark.parametrize("n,expected", [(2, True), (9, False), (97, True), (1, False), (881, True)])
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(2, True), (9, False), (97, True), (1, False), (881, True), (41, True)],
+    )
     def test_known(self, n, expected):
         assert is_probable_prime(n) == expected
+
+    def test_strong_pseudoprime_to_bases_up_to_37_is_composite(self):
+        assert 399165290221 * 798330580441 == SPSP_37
+        assert not is_probable_prime(SPSP_37)
+
+    def test_proven_bound_is_a_pseudoprime_to_every_base(self):
+        # MR_PROVEN_BOUND is itself composite and passes every witness, so no
+        # larger bound can be claimed for these bases.
+        assert 1287836182261 * 2575672364521 == MR_PROVEN_BOUND
+        assert is_probable_prime(MR_PROVEN_BOUND)
+        with pytest.raises(FactorizationError):
+            factorize(MR_PROVEN_BOUND)
 
 
 class TestQuadExt:

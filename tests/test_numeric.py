@@ -20,7 +20,7 @@ from radreduce.numeric import (
     verify_root_map,
     zeta_two_ways,
 )
-from radreduce.reduction import reduce_radical
+from radreduce.reduction import construct_example, reduce_radical
 
 F = Fraction
 
@@ -167,6 +167,28 @@ class TestRootMap:
         with mp.workprec(320):
             for k in range(1, 5):
                 assert abs(vals[5 - k] - vals[k].conjugate()) < TWO**-200
+
+    @pytest.mark.parametrize(
+        "p,D,u",
+        [(11, -6, 15), (5, -3, -10**20)],
+        ids=["cancels-56-bits", "cancels-655-bits"],
+    )
+    def test_cancelling_sum_uses_the_norm_form(self, p, D, u):
+        # d < 0 < R with d^2 far above |D|, so d + sqrt(R) cancels almost all
+        # of its bits; the root map forms it as D / (d - sqrt(R)) instead.
+        params, _ = construct_example(p, D, u)
+        low = root_map_values(p, params.d, params.R, 256)
+        high = root_map_values(p, params.d, params.R, 512)
+        for lo, hi in zip(low, high):
+            numeric._check_agreement(lo, hi, 256)
+        with mp.workprec(600):
+            assert min(abs(v - u) for v in high) < TWO**-200 * abs(u)
+
+    def test_verify_root_map_on_cancelling_sum(self):
+        params, _ = construct_example(11, -6, 15)
+        rep = verify_root_map(11, params.d, params.R, 256)
+        assert rep["ok"] and rep["distinct"]
+        assert rep["rational_root_distances"]["15"] < F(1, 2**200)
 
     def test_precision_stability(self):
         rep = verify_root_map(7, -2158, 4656966, 512)

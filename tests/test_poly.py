@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radreduce.exactnum import QuadExt
+from radreduce.exactnum import QuadExt, divisors
 from radreduce.poly import ParamPoly, Poly, rational_roots
 
 F = Fraction
@@ -193,3 +194,75 @@ class TestRationalRoots:
             f = f * Poly([-r.numerator, r.denominator])
         f = f * F(scale)
         assert rational_roots(f) == set(roots)
+
+
+def divisor_walk_roots(f: Poly) -> set[Fraction]:
+    """Reference search: every +-num/den with num dividing the constant term
+    and den the leading coefficient of the primitive, Z^m-free integer form,
+    confirmed by Fraction Horner on f itself."""
+    coeffs = [F(c) for c in f.coeffs]
+    lcm = 1
+    for c in coeffs:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    ints = [int(c * lcm) for c in coeffs]
+    roots = set()
+    while ints[0] == 0:
+        roots.add(F(0))
+        ints = ints[1:]
+    if len(ints) == 1:
+        return roots
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    dens = divisors(abs(ints[-1]))
+    for num in divisors(abs(ints[0])):
+        for den in dens:
+            for root in (F(num, den), -F(num, den)):
+                if f.evaluate(root) == 0:
+                    roots.add(root)
+    return roots
+
+
+@st.composite
+def planted_polys(draw):
+    """A random integer cofactor times (den*Z - num) for each planted root,
+    scaled by a nonzero Fraction: roots at 0 and +-1 are drawn often, roots
+    repeat, and the scale makes the leading coefficient negative, the content
+    larger than 1 or the coefficients non-integral."""
+    root = st.sampled_from([F(0), F(1), F(-1)]) | st.fractions(
+        min_value=-12, max_value=12, max_denominator=9
+    )
+    roots = draw(st.lists(root, max_size=4))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=2)) if roots else []
+    cofactor = draw(
+        st.lists(st.integers(-30, 30), min_size=1, max_size=4).filter(lambda cs: cs[-1] != 0)
+    )
+    f = Poly([F(c) for c in cofactor])
+    for r in roots:
+        f = f * Poly([F(-r.numerator), F(r.denominator)])
+    scale = draw(st.fractions(min_value=-40, max_value=40, max_denominator=7).filter(bool))
+    return f * scale, set(roots)
+
+
+class TestRationalRootsAgainstDivisorWalk:
+    @given(planted_polys())
+    @settings(max_examples=200, deadline=None)
+    def test_same_roots_as_the_divisor_walk(self, case):
+        f, planted = case
+        roots = rational_roots(f)
+        assert roots == divisor_walk_roots(f)
+        assert planted <= roots
+
+    @pytest.mark.parametrize(
+        "coeffs,expected",
+        [
+            ([-1, 0, 1], {F(1), F(-1)}),  # den - a = 0 and den + a = 0 in the sieve
+            ([1, -2, 1], {F(1)}),  # repeated root at 1
+            ([0, 0, -3, 3], {F(0), F(1)}),  # Z^2 stripped, content 3
+            ([6, -1, -2], {F(-2), F(3, 2)}),  # negative leading coefficient
+            ([F(1, 3), F(-1, 2)], {F(2, 3)}),  # Fraction coefficients
+            ([2, 0, 1], set()),  # every candidate fails the sieve
+        ],
+    )
+    def test_edge_cases(self, coeffs, expected):
+        f = Poly([F(c) for c in coeffs])
+        assert rational_roots(f) == expected == divisor_walk_roots(f)

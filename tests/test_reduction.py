@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radreduce.construct import InstanceParams, defining_polys
-from radreduce.exactnum import QuadExt, rational_is_square, rational_odd_root
+from radreduce.construct import InstanceParams, defining_polys, trace_poly
+from radreduce.exactnum import FactorizationError, QuadExt, rational_is_square, rational_odd_root
 from radreduce.poly import Poly, rational_roots
 from radreduce.reduction import (
     ReductionError,
@@ -106,6 +106,17 @@ class TestReduceErrors:
     def test_invalid_params(self, p, d, R):
         with pytest.raises(ValueError):
             reduce_radical(p, d, R)
+
+    def test_pseudoprime_in_the_search_raises_instead_of_missing_the_root(self):
+        # f = Z^3 - 3DZ - 2dD has the zero a; its constant term carries a*b,
+        # a strong pseudoprime to every base up to 37.
+        a, b = 399165290221, 798330580441
+        D = F(a * a - b, 3)
+        d = (a**3 - 3 * D * a) / (2 * D)
+        R = d * d - D
+        assert trace_poly(InstanceParams.create(3, d, R)).evaluate(F(a)) == 0
+        with pytest.raises(FactorizationError):
+            reduce_radical(3, d, R)
 
 
 class TestConstructExample:

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from radreduce.construct import InstanceParams, trace_poly
 from radreduce.exactnum import rational_is_square
-from radreduce.reduction import classify
+from radreduce.poly import rational_roots
+from radreduce.reduction import classify, construct_example
 
 core = pytest.importorskip("sympy.ntheory.factor_").core
+sympy = pytest.importorskip("sympy")
 
 F = Fraction
 
@@ -43,3 +46,23 @@ def test_field_equality_matches_squarefree_parts(instance):
     sign = -1 if ((p - 1) // 2) % 2 else 1
     expected = squarefree_part(F(R)) == sign * p
     assert classify(p, d, R).prop2_field_equal is expected
+
+
+DIVISOR_RICH_D = 720720  # 2^4 3^2 5 7 11 13
+
+
+@pytest.mark.parametrize(
+    "p,d,R",
+    [(p, 1, 1 - DIVISOR_RICH_D) for p in (5, 7, 9)]
+    + [
+        (params.p, params.d, params.R)
+        for params, _ in (
+            construct_example(p, DIVISOR_RICH_D, u) for p, u in ((5, 12), (7, -1440), (9, 2))
+        )
+    ],
+)
+def test_rational_roots_match_sympy_on_divisor_rich_norm(p, d, R):
+    f = trace_poly(InstanceParams.create(p, d, R))
+    Z = sympy.Symbol("Z")
+    roots = sympy.Poly(list(reversed(f.coeffs)), Z, domain="QQ").ground_roots()
+    assert rational_roots(f) == {F(int(r.p), int(r.q)) for r in roots}
