@@ -76,12 +76,12 @@ def _int_in_range(low: int, high: int | None = None):
 
 # Residuals are required below 2^-(bits - 56) by default, so fewer bits have no
 # bound.  The upper limits keep one run to seconds: on a 2-CPU Xeon,
-# `coeffs --p 1001 --family C` solves its O(p^3) system in about 1.5 s (22 s
-# at p = 2001), `verify --p-max 201` takes about 7 s and the septic
+# `coeffs --p 1001 --family C` solves its triangular system in about 0.25 s,
+# `verify --p-max 401` takes about 6.5 s and the septic
 # `reduce --numeric --bits 65536` about 6 s.
 MAX_P = 1001
 MAX_BITS = 65536
-MAX_P_MAX = 201
+MAX_P_MAX = 401
 _p_in_range = _int_in_range(3, MAX_P)
 _bits = _int_in_range(ZERO_MARGIN_BITS + 1, MAX_BITS)
 _tolerance_exp = _int_in_range(0)

@@ -15,7 +15,7 @@ Families (CLI tags in parentheses):
 * c'_{2j+1} ("cprime") - odd-degree coefficients of f'
 * C_{p-2k} ("C")      - coefficients of the expansion of X^p + 1 in the
                          basis X^k (X+1)^(p-2k), solved from the triangular
-                         linear system they satisfy
+                         linear system they satisfy, column by column
 * u_k      ("u")      - closed form equal to both convolution sums s_k, t_k
 
 All values are integers and computed as ``int``: each closed form divides an
@@ -95,12 +95,25 @@ def system_C(p: int) -> list[int]:
 
     The system is unitriangular: C_p = 1 and, for j >= 1,
     sum_{k=0}^{j} C_{p-2k} * binom(p-2k, j-k) = 0.
+
+    It is solved column by column: once C_{p-2k} is fixed, its column
+    C_{p-2k} * binom(p-2k, i) is added into the residuals of the rows
+    j = k + i below, and the next unknown is minus its residual.  The
+    binomials are stepped along each row, so no binomial is computed afresh.
     """
     _check_p(p)
-    out = [1]
-    for j in range(1, (p - 1) // 2 + 1):
-        # binom(p-2j, 0) = 1 is the diagonal entry.
-        out.append(-sum(out[k] * comb(p - 2 * k, j - k) for k in range(j)))
+    half = (p - 1) // 2
+    residual = [0] * (half + 1)
+    out = []
+    for k in range(half + 1):
+        # binom(p-2k, 0) = 1 is the diagonal entry.
+        c = -residual[k] if k else 1
+        out.append(c)
+        m = p - 2 * k
+        row = 1  # binom(m, i), stepped along the row
+        for i in range(half - k):
+            row = row * (m - i) // (i + 1)
+            residual[k + i + 1] += c * row
     return out
 
 

@@ -16,6 +16,15 @@ The two load-bearing identities:
 The recurrence certificates for the convolution families s_k and t_k are
 checked directly against exact values, together with the closed form u_k and
 the extraction of s_k, t_k from the symbolic products.
+
+The checks run on plain ``int`` kernels.  The expansion sum and the
+convolutions s_k, t_k use Kronecker substitution (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, section 8.4): evaluate at X = 2^N as one integer,
+with the slot width N a multiple of 8 above a bound that holds for every
+coefficient of any input, corrupted ones included, and read the coefficients
+back as signed base-2^N digits; a digit that overflowed its slot raises
+ArithmeticError.  The sides of the fundamental identity are multiplied as
+flat {(z, deg_d, deg_D): value} maps.
 """
 
 from __future__ import annotations
@@ -23,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coeffs import (
+    coeff_a,
     coeff_c,
     coeff_c_descending,
+    coeff_cprime,
     coeff_u,
-    conv_s,
-    conv_t,
     s_recurrence_coeffs,
     system_C,
     t_recurrence_coeffs,
@@ -88,20 +97,56 @@ def _first_parampoly_diff(left: Poly, right: Poly) -> str:
 
 
 def _expansion_sum(p: int, cs: list[int]) -> Poly:
-    """sum_k cs[k] * X^k * (X+1)^(p-2k), cs indexed by k."""
-    total = [0] * (p + 1)
+    """sum_k cs[k] * X^k * (X+1)^(p-2k) for the (p+1)/2 entries of cs, by
+    Kronecker substitution at X = 2^N.
+
+    Each result coefficient is a sum of at most len(cs) terms c_k * binom(m, i)
+    with binom(m, i) < 2^p, so its magnitude is below 2^(N-1) once
+    N >= bitlen(max |c_k|) + p + bitlen(len(cs)) + 1; N is rounded up to whole
+    bytes.  The sum is (X+1) * sum_k c_k X^k ((X+1)^2)^((p-1)/2-k), taken by
+    Horner in (X+1)^2 with shifts and adds only, and `_signed_digits` unpacks
+    it, raising ArithmeticError if a coefficient overflowed its slot.
+    """
+    bound = max(map(abs, cs)).bit_length() + p + len(cs).bit_length() + 1
+    width = -(-bound // 8)  # bytes per slot
+    n = 8 * width
+    acc = 0
     for k, c in enumerate(cs):
-        m = p - 2 * k
-        row = 1  # binom(m, i), stepped along the row
-        for i in range(m + 1):
-            total[k + i] += c * row
-            row = row * (m - i) // (i + 1)
-    return Poly(total)
+        acc = (acc << 2 * n) + (acc << (n + 1)) + acc + (c << n * k)
+    return Poly(_signed_digits(acc + (acc << n), p + 1, width))
+
+
+def _signed_digits(value: int, count: int, width: int) -> list[int]:
+    """The `count` signed base-2^N digits of `value`, N = 8 * width, each of
+    magnitude below 2^(N-1).  Adding 2^(N-1) to every digit makes them all
+    non-negative for one to_bytes pass; a broken bound shows in the extra top
+    byte (or overflows to_bytes) and raises ArithmeticError."""
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    raw = (value + offset).to_bytes(width * count + 1, "little")
+    if raw[-1]:
+        raise ArithmeticError(f"packed value overflows its {8 * width}-bit slots")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * count, width)
+    ]
+
+
+def _convolve(xs: list[int], ys: list[int]) -> list[int]:
+    """Coefficients of (sum xs[i] X^i) * (sum ys[j] X^j), by one integer
+    product at X = 2^N.  Each coefficient is a sum of at most min(len) terms,
+    so N >= bitlen(max |x|) + bitlen(max |y|) + bitlen(min(len)) + 1 holds
+    every one in its slot."""
+    bound = sum(max(map(abs, v)).bit_length() for v in (xs, ys))
+    bound += min(len(xs), len(ys)).bit_length() + 1
+    width = -(-bound // 8)
+    x, y = (sum(c << 8 * width * i for i, c in enumerate(v)) for v in (xs, ys))
+    return _signed_digits(x * y, len(xs) + len(ys) - 1, width)
 
 
 def verify_expansion(p: int) -> VerificationReport:
     """Check the expansion of X^p + 1, with both coefficient routes; the solved
-    system is compared with both the ascending and the descending closed form."""
+    system is compared with both the ascending and the descending closed form.
+    Equal coefficient lists are reconstructed once and share one sum."""
     report = VerificationReport(p)
     half = (p - 1) // 2
     target = Poly([1] + [0] * (p - 1) + [1])
@@ -119,8 +164,12 @@ def verify_expansion(p: int) -> VerificationReport:
     )
     report.add("system-solution-matches-closed-form", witness is None, witness)
 
+    sums: dict[tuple[int, ...], Poly] = {}
     for label, cs in (("system", solved), ("closed-form", closed)):
-        got = _expansion_sum(p, cs)
+        key = tuple(cs)
+        if key not in sums:
+            sums[key] = _expansion_sum(p, cs)
+        got = sums[key]
         ok = got == target
         report.add(
             f"expansion-reconstructs-with-{label}-coefficients",
@@ -128,6 +177,42 @@ def verify_expansion(p: int) -> VerificationReport:
             None if ok else _first_poly_diff(got, target),
         )
     return report
+
+
+def _flat(poly: Poly) -> dict:
+    """{(z, deg_d, deg_D): value} for a Poly whose coefficients are ParamPoly
+    or rational scalars, with no zero entries."""
+    out = {}
+    for z, c in enumerate(poly.coeffs):
+        terms = c.terms if isinstance(c, ParamPoly) else {(0, 0): c}
+        for (a, b), v in terms.items():
+            if v:
+                out[z, a, b] = v
+    return out
+
+
+def _flat_mul_into(acc: dict, left: dict, right: dict | None = None) -> None:
+    """Add left * right, or left^2 when right is None, into acc, term pair by
+    term pair in the order Poly and ParamPoly multiplication take them.  A
+    square takes each unordered pair once, doubled off the diagonal: the
+    mirrored pair has the same key and comes later, so the order of keys is
+    unchanged.  Cancelled terms stay in acc as zeros until `_unflat`."""
+    get = acc.get
+    items = list((left if right is None else right).items())
+    doubled = [(key, 2 * v) for key, v in items] if right is None else None
+    for n, ((z1, a1, b1), v1) in enumerate(left.items()):
+        pairs = items if doubled is None else items[n : n + 1] + doubled[n + 1 :]
+        for (z2, a2, b2), v2 in pairs:
+            key = (z1 + z2, a1 + a2, b1 + b2)
+            acc[key] = get(key, 0) + v1 * v2
+
+
+def _unflat(flat: dict) -> Poly:
+    """The Poly of ParamPoly that a flat map stands for, zeros dropped."""
+    slots: list[dict] = [{} for _ in range(1 + max((z for z, _, _ in flat), default=-1))]
+    for (z, a, b), v in flat.items():
+        slots[z][a, b] = v
+    return Poly([ParamPoly(terms) for terms in slots])
 
 
 def fundamental_identity_sides(
@@ -139,18 +224,26 @@ def fundamental_identity_sides(
     """Both sides of the cleared fundamental identity in Q[d, D][Z].
 
     Left: At^2.  Right: f * Ft' + (Z^2 - 4D)(d^2 - D) D^(p-3).
-    The three polynomials may be overridden (used by mutation tests).
+    The three polynomials may be overridden (used by mutation tests).  The
+    products are taken on flat {(z, deg_d, deg_D): value} maps, in the order
+    Poly and ParamPoly multiplication would take them.
     """
     f = trace if trace is not None else trace_poly_symbolic(p)
     at = sqrt_num if sqrt_num is not None else sqrt_part_symbolic(p).numerator
     ft = cofactor_num if cofactor_num is not None else cofactor_symbolic(p).numerator
-    lhs = at * at
-    correction = Poly(
-        [ParamPoly.monomial(-4, 0, 1), ParamPoly(), ParamPoly.const(1)]
-    )
-    scalar = ParamPoly({(2, 0): 1, (0, 1): -1}) * ParamPoly.monomial(1, 0, p - 3)
-    rhs = f * ft + correction * scalar
-    return lhs, rhs
+    lhs: dict = {}
+    _flat_mul_into(lhs, _flat(at))
+    rhs: dict = {}
+    _flat_mul_into(rhs, _flat(f), _flat(ft))
+    # (Z^2 - 4D)(d^2 - D) D^(p-3), term by term.
+    for key, value in (
+        ((0, 2, p - 2), -4),
+        ((0, 0, p - 1), 4),
+        ((2, 2, p - 3), 1),
+        ((2, 0, p - 2), -1),
+    ):
+        rhs[key] = rhs.get(key, 0) + value
+    return _unflat(lhs), _unflat(rhs)
 
 
 def verify_fundamental_identity(
@@ -186,8 +279,15 @@ def verify_recurrences(p: int, sides: tuple[Poly, Poly] | None = None) -> Verifi
         raise ValueError(f"recurrence checks need p >= 5, got {p}")
     report = VerificationReport(p)
 
-    s = {k: conv_s(p, k) for k in range(1, p)}
-    t = {k: conv_t(p, k) for k in range(2, p)}
+    # Each closed form is evaluated once; s_k and t_k are the coefficients of
+    # X^k and X^(k-1) in the products of these lists read as polynomials.
+    half, half3 = (p - 1) // 2, (p - 3) // 2
+    a = [coeff_a(p, j) for j in range(half + 1)]
+    c = [coeff_c(p, j) for j in range(half + 1)]
+    cp = [coeff_cprime(p, j) for j in range(half3 + 1)]
+    aa, ccp = _convolve(a, a), _convolve(c, cp)
+    s = {k: aa[k] for k in range(1, p)}
+    t = {k: ccp[k - 1] for k in range(2, p)}
     u = {k: coeff_u(p, k) for k in range(1, p)}
 
     bad = [k for k in range(1, p) if s[k] != u[k]]

@@ -310,6 +310,28 @@ class TestCliOutputBytes:
         assert out == SELFTEST_256
 
 
+class TestExactCliOutputBytes:
+    """stdout of the exact identity and coefficient commands, byte for byte as
+    recorded before the identity checks moved onto packed-integer kernels."""
+
+    @pytest.mark.parametrize(
+        "argv,sha256",
+        [
+            (
+                ("verify", "--p-max", "61"),
+                "06310289e89eda901f503e5952ade3ab996cb5b0f3afa6edf324aa970bcb93ec",
+            ),
+            (
+                ("coeffs", "--p", "1001", "--family", "C"),
+                "d8775eb60647defe8fdd042dc36be57d2836fde08e12d1d3b511da612a931adb",
+            ),
+        ],
+    )
+    def test_stdout_sha256(self, capsys, argv, sha256):
+        out = _stdout(capsys, *argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 SELFTEST_256 = """\
 {
   "checks": [
