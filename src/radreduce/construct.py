@@ -120,7 +120,7 @@ def sqrt_part_symbolic(p: int) -> ClearedForm:
         coeffs[2 * k] = ParamPoly.monomial(coeff_a(p, k), 0, half - k)
     sign = -1 if ((p + 1) // 2) % 2 else 1
     coeffs[1] = ParamPoly.monomial(sign, 1, half - 1)
-    den = 2 * _R_sym() * ParamPoly.monomial(1, 0, half)
+    den = ParamPoly({(2, half): 2, (0, half + 1): -2})  # 2 (d^2 - D) D^half
     return ClearedForm(Poly(coeffs), den)
 
 
@@ -143,13 +143,8 @@ def cofactor_symbolic(p: int) -> ClearedForm:
     coeffs[0] = ParamPoly.monomial(-2, 1, half3)
     for j in range(half3 + 1):
         coeffs[2 * j + 1] = ParamPoly.monomial(coeff_cprime(p, j), 0, half3 - j)
-    den = _R_sym() * ParamPoly.monomial(1, 0, p - 3)
+    den = ParamPoly({(2, p - 3): 1, (0, p - 2): -1})  # (d^2 - D) D^(p-3)
     return ClearedForm(Poly(coeffs), den)
-
-
-def _R_sym() -> ParamPoly:
-    """R as an element of Q[d, D]: R = d^2 - D."""
-    return ParamPoly({(2, 0): Fraction(1), (0, 1): Fraction(-1)})
 
 
 def defining_polys(params: InstanceParams) -> tuple[Poly, Poly, Poly]:

@@ -23,12 +23,15 @@ convolutions s_k, t_k use Kronecker substitution (von zur Gathen & Gerhard,
 with the slot width N a multiple of 8 above a bound that holds for every
 coefficient of any input, corrupted ones included, and read the coefficients
 back as signed base-2^N digits; a digit that overflowed its slot raises
-ArithmeticError.  The sides of the fundamental identity are multiplied as
-flat {(z, deg_d, deg_D): value} maps.
+ArithmeticError.  The sides of the fundamental identity are flattened once,
+at the input, into {(z, deg_d, deg_D): value} maps; they are multiplied,
+compared and read for the extraction checks in that form, and a ParamPoly is
+built only to render a failing witness.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .coeffs import (
@@ -78,21 +81,6 @@ def _first_poly_diff(left: Poly, right: Poly, var: str = "X") -> str:
         lc, rc = left.coeff(i), right.coeff(i)
         if lc != rc:
             return f"{var}^{i}: left {lc}, right {rc}"
-    return "polynomials agree"
-
-
-def _first_parampoly_diff(left: Poly, right: Poly) -> str:
-    for i in range(max(left.degree, right.degree) + 1):
-        lc, rc = left.coeff(i), right.coeff(i)
-        lc = lc if isinstance(lc, ParamPoly) else ParamPoly.const(lc)
-        rc = rc if isinstance(rc, ParamPoly) else ParamPoly.const(rc)
-        if lc != rc:
-            keys = sorted(set(lc.terms) | set(rc.terms))
-            for (a, b) in keys:
-                lv = lc.terms.get((a, b), 0)
-                rv = rc.terms.get((a, b), 0)
-                if lv != rv:
-                    return f"Z^{i}: coefficient of d^{a}*D^{b}: left {lv}, right {rv}"
     return "polynomials agree"
 
 
@@ -192,11 +180,9 @@ def _flat(poly: Poly) -> dict:
 
 
 def _flat_mul_into(acc: dict, left: dict, right: dict | None = None) -> None:
-    """Add left * right, or left^2 when right is None, into acc, term pair by
-    term pair in the order Poly and ParamPoly multiplication take them.  A
-    square takes each unordered pair once, doubled off the diagonal: the
-    mirrored pair has the same key and comes later, so the order of keys is
-    unchanged.  Cancelled terms stay in acc as zeros until `_unflat`."""
+    """Add left * right, or left^2 when right is None, into acc.  A square
+    takes each unordered pair of terms once, doubled off the diagonal, which
+    halves its products.  Cancelled terms stay in acc as zeros."""
     get = acc.get
     items = list((left if right is None else right).items())
     doubled = [(key, 2 * v) for key, v in items] if right is None else None
@@ -207,26 +193,17 @@ def _flat_mul_into(acc: dict, left: dict, right: dict | None = None) -> None:
             acc[key] = get(key, 0) + v1 * v2
 
 
-def _unflat(flat: dict) -> Poly:
-    """The Poly of ParamPoly that a flat map stands for, zeros dropped."""
-    slots: list[dict] = [{} for _ in range(1 + max((z for z, _, _ in flat), default=-1))]
-    for (z, a, b), v in flat.items():
-        slots[z][a, b] = v
-    return Poly([ParamPoly(terms) for terms in slots])
-
-
 def fundamental_identity_sides(
     p: int,
     trace: Poly | None = None,
     sqrt_num: Poly | None = None,
     cofactor_num: Poly | None = None,
-) -> tuple[Poly, Poly]:
-    """Both sides of the cleared fundamental identity in Q[d, D][Z].
+) -> tuple[dict, dict]:
+    """Both sides of the cleared fundamental identity in Q[d, D][Z], as flat
+    {(z, deg_d, deg_D): value} maps with no zero entries.
 
     Left: At^2.  Right: f * Ft' + (Z^2 - 4D)(d^2 - D) D^(p-3).
-    The three polynomials may be overridden (used by mutation tests).  The
-    products are taken on flat {(z, deg_d, deg_D): value} maps, in the order
-    Poly and ParamPoly multiplication would take them.
+    The three polynomials may be overridden (used by mutation tests).
     """
     f = trace if trace is not None else trace_poly_symbolic(p)
     at = sqrt_num if sqrt_num is not None else sqrt_part_symbolic(p).numerator
@@ -243,7 +220,7 @@ def fundamental_identity_sides(
         ((2, 0, p - 2), -1),
     ):
         rhs[key] = rhs.get(key, 0) + value
-    return _unflat(lhs), _unflat(rhs)
+    return tuple({k: v for k, v in side.items() if v} for side in (lhs, rhs))
 
 
 def verify_fundamental_identity(
@@ -251,28 +228,32 @@ def verify_fundamental_identity(
     trace: Poly | None = None,
     sqrt_num: Poly | None = None,
     cofactor_num: Poly | None = None,
-    sides: tuple[Poly, Poly] | None = None,
+    sides: tuple[dict, dict] | None = None,
 ) -> VerificationReport:
     """Exact check of 4 D^2 A^2 R = f*f' + Z^2 - 4D in cleared form; `sides`
-    takes `fundamental_identity_sides(p)` when the caller has built it."""
+    takes `fundamental_identity_sides(p)` when the caller has built it.  The
+    witness is the first differing monomial in (z, deg_d, deg_D) order."""
     report = VerificationReport(p)
     lhs, rhs = sides or fundamental_identity_sides(p, trace, sqrt_num, cofactor_num)
     ok = lhs == rhs
-    report.add(
-        "fundamental-identity",
-        ok,
-        None if ok else _first_parampoly_diff(lhs, rhs),
-    )
-    deg_ok = lhs.degree == 2 * p - 2
+    witness = None
+    if not ok:
+        key = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k, 0) != rhs.get(k, 0))
+        z, a, b = key
+        left, right = lhs.get(key, 0), rhs.get(key, 0)
+        witness = f"Z^{z}: coefficient of d^{a}*D^{b}: left {left}, right {right}"
+    report.add("fundamental-identity", ok, witness)
+    degree = max((z for z, _, _ in lhs), default=-1)
+    deg_ok = degree == 2 * p - 2
     report.add(
         "left-side-degree",
         deg_ok,
-        None if deg_ok else f"degree {lhs.degree}, expected {2 * p - 2}",
+        None if deg_ok else f"degree {degree}, expected {2 * p - 2}",
     )
     return report
 
 
-def verify_recurrences(p: int, sides: tuple[Poly, Poly] | None = None) -> VerificationReport:
+def verify_recurrences(p: int, sides: tuple[dict, dict] | None = None) -> VerificationReport:
     """Recurrence certificates and closed forms for the convolution families;
     `sides` takes `fundamental_identity_sides(p)` when the caller has built it."""
     if p < 5:
@@ -342,12 +323,13 @@ def verify_recurrences(p: int, sides: tuple[Poly, Poly] | None = None) -> Verifi
     # its Z^(2k) coefficients are those of f*Ft'.
     sq, prod = sides or fundamental_identity_sides(p)
     for label, src, values in (("s", sq, s), ("t", prod, t)):
+        slot_sizes = Counter(z for z, _, _ in src)
         bad_msg = None
         for k in range(2, p):
-            got = src.coeff(2 * k)
-            got = got if isinstance(got, ParamPoly) else ParamPoly.const(got)
-            want = ParamPoly.monomial(values[k], 0, p - 1 - k)
-            if got != want:
+            v = values[k]
+            if slot_sizes[2 * k] != (1 if v else 0) or src.get((2 * k, 0, p - 1 - k), 0) != v:
+                got = ParamPoly({(a, b): w for (z, a, b), w in src.items() if z == 2 * k})
+                want = ParamPoly.monomial(v, 0, p - 1 - k)
                 bad_msg = f"Z^{2 * k}: extracted {got}, expected {want}"
                 break
         report.add(f"{label}-symbolic-extraction", bad_msg is None, bad_msg)

@@ -6,8 +6,8 @@ coefficients.  Coefficients may be Fraction, QuadExt, or ParamPoly - anything
 with exact ring arithmetic and a truthiness test for zero.
 
 ``ParamPoly`` is a sparse exact polynomial in the two instance parameters
-(d, D); a ``Poly`` with ParamPoly coefficients is the carrier for symbolic
-identity verification in Q[d, D][Z].
+(d, D); a ``Poly`` with ParamPoly coefficients is what the symbolic builders
+in ``construct`` return, an element of Q[d, D][Z].
 
 ``rational_roots`` finds all rational zeros of a Fraction polynomial via the
 rational root theorem, in integer arithmetic only: it skips candidates not in

@@ -9,6 +9,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Lines a demo must print, beyond running to completion.
+EXPECTED_LINES = {
+    "identity_tour": [
+        "both sides have degree 8 = 2p - 2 in Z",
+        "agree coefficient-by-coefficient: True",
+    ],
+}
 
 
 def test_all_six_demos_found():
@@ -27,3 +34,5 @@ def test_demo_runs(demo):
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip()
+    for line in EXPECTED_LINES.get(demo.stem, ()):
+        assert line in child.stdout

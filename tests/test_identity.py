@@ -84,13 +84,21 @@ class TestFundamentalIdentity:
 
     def test_substitution_cross_check(self):
         # Substitute the quintic golden parameters into both symbolic sides.
+        # The sides are flat {(z, deg_d, deg_D): value} maps; substitute per z.
         lhs, rhs = fundamental_identity_sides(5)
         d0, D0 = F(2), F(-1)
-        assert lhs.map(lambda c: c.subs(d0, D0)) == rhs.map(lambda c: c.subs(d0, D0))
+
+        def at_golden(side):
+            out = {}
+            for (z, a, b), v in side.items():
+                out[z] = out.get(z, 0) + v * d0**a * D0**b
+            return {z: v for z, v in out.items() if v}
+
+        assert at_golden(lhs) == at_golden(rhs)
 
     def test_left_degree(self):
         lhs, _ = fundamental_identity_sides(9)
-        assert lhs.degree == 2 * 9 - 2
+        assert max(z for z, _, _ in lhs) == 2 * 9 - 2
 
 
 class TestRecurrenceReport:
@@ -139,6 +147,95 @@ class TestMutationDetection:
         report = verify_fundamental_identity(3, trace=mutated)
         bad = [c for c in report.checks if not c.passed][0]
         assert "Z^" in bad.witness and ("d^" in bad.witness or "D^" in bad.witness)
+
+
+def _bumped(poly: Poly, index: int, bump: ParamPoly) -> Poly:
+    coeffs = list(poly.coeffs) + [ParamPoly()] * (index + 1 - len(poly.coeffs))
+    coeffs[index] = coeffs[index] + bump
+    return Poly(coeffs)
+
+
+def _failing(report) -> dict:
+    return {c.name: c.witness for c in report.checks if not c.passed}
+
+
+class TestWitnessText:
+    """Failing reports name their witness exactly as the Poly-of-ParamPoly
+    implementation of these checks did; the literals are copied from it."""
+
+    def test_sabotaged_trace_plus_one(self):
+        trace = _bumped(trace_poly_symbolic(5), 2, ParamPoly.const(1))
+        assert _failing(verify_fundamental_identity(5, trace=trace)) == {
+            "fundamental-identity": "Z^2: coefficient of d^1*D^1: left 0, right -2"
+        }
+
+    def test_sabotaged_trace_negative_fraction(self):
+        trace = _bumped(trace_poly_symbolic(5), 2, ParamPoly.monomial(F(-7, 3), 1, 2))
+        assert _failing(verify_fundamental_identity(5, trace=trace)) == {
+            "fundamental-identity": "Z^2: coefficient of d^2*D^3: left 0, right 14/3"
+        }
+
+    def test_left_side_degree(self):
+        at = _bumped(sqrt_part_symbolic(5).numerator, 5, ParamPoly.const(1))
+        assert _failing(verify_fundamental_identity(5, sqrt_num=at)) == {
+            "fundamental-identity": "Z^5: coefficient of d^0*D^2: left 4, right 0",
+            "left-side-degree": "degree 10, expected 8",
+        }
+
+    def test_s_extraction_with_patched_a(self, monkeypatch):
+        import radreduce.identity as identity_mod
+
+        real = identity_mod.coeff_a
+        monkeypatch.setattr(identity_mod, "coeff_a", lambda p, k: real(p, k) + (k == 1))
+        assert _failing(verify_recurrences(9)) == {
+            "s-equals-closed-form": "k=1: s=-60, closed form -64",
+            "s-two-term-recurrence": "fails at k=1",
+            "s-symbolic-extraction": "Z^4: extracted 336*D^6, expected 305*D^6",
+        }
+
+    def test_t_extraction_with_patched_c(self, monkeypatch):
+        import radreduce.identity as identity_mod
+
+        real = identity_mod.coeff_c
+        monkeypatch.setattr(identity_mod, "coeff_c", lambda p, k: real(p, k) + (k == 1))
+        assert _failing(verify_recurrences(9)) == {
+            "t-equals-closed-form": "k=2: t=329, closed form 336",
+            "t-three-term-recurrence": "fails at k=2",
+            "t-symbolic-extraction": "Z^4: extracted 336*D^6, expected 329*D^6",
+        }
+
+    def test_extraction_slot_with_an_extra_term(self):
+        at = _bumped(sqrt_part_symbolic(9).numerator, 4, ParamPoly.monomial(F(-1, 2), 1, 0))
+        sides = fundamental_identity_sides(9, sqrt_num=at)
+        assert _failing(verify_recurrences(9, sides)) == {
+            "s-symbolic-extraction": "Z^4: extracted 336*D^6 - 2*d*D^4, expected 336*D^6"
+        }
+
+    def test_extraction_slot_with_a_cancelled_term(self):
+        coeffs = list(cofactor_symbolic(9).numerator.coeffs)
+        coeffs[3] = ParamPoly()
+        sides = fundamental_identity_sides(9, cofactor_num=Poly(coeffs))
+        assert _failing(verify_recurrences(9, sides)) == {
+            "t-symbolic-extraction": "Z^4: extracted 210*D^6, expected 336*D^6"
+        }
+
+
+class TestNoPolyProducts:
+    def test_verify_all_multiplies_no_poly_or_parampoly(self, monkeypatch):
+        # The identity sides are multiplied as flat maps and the construct
+        # denominators are literals, so no Poly/ParamPoly product runs.
+        calls = []
+        for owner, name in ((Poly, "__mul__"), (ParamPoly, "__mul__"), (ParamPoly, "__rmul__")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(
+                owner,
+                name,
+                lambda *args, real=real, label=f"{owner.__name__}.{name}": (
+                    calls.append(label) or real(*args)
+                ),
+            )
+        assert verify_all(9).ok
+        assert calls == []
 
 
 class TestCombinedReport:
