@@ -17,7 +17,7 @@ _EXPORTS = {
     "InstanceParams": "construct",
     "cofactor_poly": "construct",
     "cofactor_symbolic": "construct",
-    "defining_polys": "construct",
+    "defining_poly": "construct",
     "sqrt_part_poly": "construct",
     "sqrt_part_symbolic": "construct",
     "trace_poly": "construct",

@@ -75,10 +75,9 @@ def _int_in_range(low: int, high: int | None = None):
 
 
 # Residuals are required below 2^-(bits - 56) by default, so fewer bits have no
-# bound.  The upper limits keep one run to seconds: on a 2-CPU Xeon,
-# `coeffs --p 1001 --family C` solves its triangular system in about 0.25 s,
-# `verify --p-max 401` takes about 6.5 s and the septic
-# `reduce --numeric --bits 65536` about 6 s.
+# bound.  The upper limits bound the time of `coeffs`, `verify` and `--bits`
+# (README, "Command-line interface"); they do not bound `reduce`, whose time
+# grows with the number of divisors of D.
 MAX_P = 1001
 MAX_BITS = 65536
 MAX_P_MAX = 401
@@ -288,90 +287,103 @@ def cmd_verify(args) -> int:
     return 0 if all(r["ok"] for r in reports) else 1
 
 
+# The paper's worked instances: for each golden library call, written as
+# (function name, *arguments), the output fields the paper fixes, as the
+# strings `to_json()` prints.  `selftest` and the acceptance suite check
+# against this one table.
+GOLDEN = {
+    ("reduce_radical", 5, 2, 5): {
+        "D": "-1",
+        "g": ["-1", "0", "0", "0", "0", "-4", "0", "0", "0", "0", "1"],
+        "f": ["-4", "5", "0", "5", "0", "1"],
+        "A": ["1/5", "1/5", "2/5", "0", "1/10"],
+        "z": "-1",
+        "u_roots": [],
+    },
+    ("reduce_radical", 7, -2158, 4656966): {
+        "D": "-2",
+        "g": ["-2"] + ["0"] * 6 + ["4316"] + ["0"] * 6 + ["1"],
+        "z": "irrational",
+        "u": "4",
+    },
+    ("reduce_radical", 3, -7, 50): {
+        "z": "-1",
+        "u": "2",
+        # -1 +- sqrt(2), since (1/5) sqrt(50) = sqrt(2)
+        "branch_values": [{"a": "-1", "b": "1/5", "R": "50"}, {"a": "-1", "b": "-1/5", "R": "50"}],
+    },
+    ("construct_example", 7, -2, 4): {"d": "-2158", "R": "4656966"},
+    ("euclid_denest", 3, 5): {"x1": "5/2", "x2": "1/2"},
+    ("euclid_biquadratic", 7, 48): {"inner": "1", "half_k": "1/2"},
+}
+
+
+def _matches_golden(call: tuple, obj: dict) -> bool:
+    """Whether `obj`, the JSON of `call`, holds every field GOLDEN fixes for it."""
+    return {name: obj.get(name) for name in GOLDEN[call]} == GOLDEN[call]
+
+
 def _selftest_checks(bits: int, tol_exp: int | None) -> list[dict]:
-    from .poly import Poly
-    from .reduction import construct_example, euclid_biquadratic, euclid_denest, reduce_radical
+    from . import reduction
 
     # mpmath after the exact modules: without a bytecode cache, compiling them
     # on top of mpmath's heap raises the peak RSS of the process.
     from .numeric import branch_residuals, decimal_str
 
-    checks: list[dict] = []
+    # Each golden call runs once, in table order.
+    quintic, septic, cubic, construction, square, fourth = GOLDEN
+    r5, r7, r3, (params, _), sq, fourth_root = (
+        getattr(reduction, name)(*args) for name, *args in GOLDEN
+    )
+
     tol = Fraction(1, 2 ** tolerance_exp(bits, tol_exp))
+    if r7.branches is None:
+        residual_ok, residual_detail = False, "u is irrational: no branches to evaluate"
+    else:
+        res = branch_residuals(r7, bits)
+        residual_ok = res["max_residual"] < tol and res["branch_signs_consistent"]
+        residual_detail = f"max residual {decimal_str(res['max_residual'])} < {decimal_str(tol)}"
 
-    def record(name: str, passed: bool, detail: str = ""):
-        checks.append({"name": name, "pass": bool(passed), "detail": detail})
-
-    # Quintic golden instance (p=5, d=2, R=5).
-    r5 = reduce_radical(5, 2, 5)
-    record(
-        "quintic-exact",
-        r5.params.D == -1
-        and r5.g == Poly([Fraction(-1)] + [0] * 4 + [Fraction(-4)] + [0] * 4 + [Fraction(1)])
-        and r5.f == Poly([Fraction(-4), 5, 0, 5, 0, 1])
-        and r5.A
-        == Poly([Fraction(1, 5), Fraction(1, 5), Fraction(2, 5), 0, Fraction(1, 10)])
-        and r5.z == -1
-        and r5.u_roots == (),
-        "g, f, A, z and rational-root scan for (5, 2, 5)",
-    )
-
-    # Septic golden instance (p=7, d=-2158, R=6*881^2), exact and numeric.
-    r7 = reduce_radical(7, -2158, 4656966)
-    g7 = [Fraction(0)] * 15
-    g7[0], g7[7], g7[14] = Fraction(-2), Fraction(4316), Fraction(1)
-    record(
-        "septic-exact",
-        r7.params.D == -2 and r7.g == Poly(g7) and r7.u == 4 and r7.z is None,
-        "g, D, u = 4 and irrational z for (7, -2158, 4656966)",
-    )
-    res = branch_residuals(r7, bits)
-    record(
-        "septic-numeric-residual",
-        res["max_residual"] < tol and res["branch_signs_consistent"],
-        f"max residual {decimal_str(res['max_residual'])} < {decimal_str(tol)}",
-    )
-
-    # Construction roundtrip (p=7, D=-2, u=4).
-    params, _ = construct_example(7, -2, 4)
-    roundtrip = reduce_radical(7, params.d, params.R)
-    record(
-        "construction-roundtrip",
-        params.d == -2158 and params.R == 4656966 and roundtrip.u == 4,
-        "construct(7, -2, 4) gives d = -2158, R = 4656966 and reduce recovers u = 4",
-    )
-
-    # Cubic golden instance (p=3, d=-7, R=50): exact denesting (sqrt(2) - 1)^3.
-    r3 = reduce_radical(3, -7, 50)
-    cubic_ok = (
-        r3.u == 2
-        and r3.z == -1
-        and r3.branch_values is not None
-        and r3.branch_values[0] == QuadExt(-1, Fraction(1, 5), 50)
-        and r3.branch_values[0] ** 3 == QuadExt(-7, 1, 50)
-    )
-    record(
-        "cubic-exact-denesting",
-        cubic_ok,
-        "branch -1 + sqrt(2) cubes to -7 + sqrt(50), verified in Q(sqrt(50))",
-    )
-
-    # Classical square-root denestings.
-    sq = euclid_denest(3, 5)
-    record(
-        "square-denesting",
-        sq is not None and (sq.x1, sq.x2) == (Fraction(5, 2), Fraction(1, 2)) and sq.certify(3, 5),
-        "sqrt(3 + sqrt(5)) = sqrt(5/2) + sqrt(1/2)",
-    )
-    fourth = euclid_biquadratic(7, 48)
-    record(
-        "fourth-denesting",
-        fourth is not None
-        and (fourth.inner, fourth.half_k) == (Fraction(1), Fraction(1, 2))
-        and fourth.certify(7, 48),
-        "(7 + sqrt(48))^(1/4) = sqrt(sqrt(1) + 1/2) + sqrt(sqrt(1) - 1/2)",
-    )
-    return checks
+    checks = [
+        (
+            "quintic-exact",
+            _matches_golden(quintic, r5.to_json()),
+            "g, f, A, z and rational-root scan for (5, 2, 5)",
+        ),
+        (
+            "septic-exact",
+            _matches_golden(septic, r7.to_json()),
+            "g, D, u = 4 and irrational z for (7, -2158, 4656966)",
+        ),
+        ("septic-numeric-residual", residual_ok, residual_detail),
+        (
+            "construction-roundtrip",
+            # The constructed instance is the septic one: r7 must recover its u.
+            _matches_golden(construction, {"d": str(params.d), "R": str(params.R)})
+            and (params.p, params.d, params.R) == septic[1:]
+            and r7.u == construction[3],
+            "construct(7, -2, 4) gives d = -2158, R = 4656966 and reduce recovers u = 4",
+        ),
+        (
+            "cubic-exact-denesting",
+            _matches_golden(cubic, r3.to_json())
+            and r3.branch_values[0] ** 3 == QuadExt(r3.params.d, 1, r3.params.R),
+            "branch -1 + sqrt(2) cubes to -7 + sqrt(50), verified in Q(sqrt(50))",
+        ),
+        (
+            "square-denesting",
+            sq is not None and _matches_golden(square, sq.to_json()) and sq.certify(*square[1:]),
+            "sqrt(3 + sqrt(5)) = sqrt(5/2) + sqrt(1/2)",
+        ),
+        (
+            "fourth-denesting",
+            fourth_root is not None
+            and _matches_golden(fourth, fourth_root.to_json())
+            and fourth_root.certify(*fourth[1:]),
+            "(7 + sqrt(48))^(1/4) = sqrt(sqrt(1) + 1/2) + sqrt(sqrt(1) - 1/2)",
+        ),
+    ]
+    return [{"name": name, "pass": bool(ok), "detail": detail} for name, ok, detail in checks]
 
 
 def cmd_selftest(args) -> int:

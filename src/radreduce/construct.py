@@ -5,8 +5,7 @@ rationals and sqrt(R) irrational; D is the norm of the radicand d + sqrt(R).
 `InstanceParams.create` is the one place that decides validity, so every
 builder and every caller may assume it.  The polynomials:
 
-* defining polynomial   g  = (Z^p - d)^2 - R, degree 2p over Q, which factors
-  over Q(sqrt(R)) as h_plus * h_minus with h_pm = Z^p - (d +- sqrt(R));
+* defining polynomial   g  = (Z^p - d)^2 - R, degree 2p over Q;
 * trace polynomial      f, monic of degree p, satisfied by the scaled
   conjugate sum u = z^((p-1)/2) (y + y');
 * sqrt-part polynomial  A, degree p-1, giving the sqrt(R)-coefficient of the
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import coeff_a, coeff_c, coeff_cprime
-from .exactnum import QuadExt, rational_is_square
+from .exactnum import rational_is_square
 from .poly import ParamPoly, Poly
 
 
@@ -147,24 +146,12 @@ def cofactor_symbolic(p: int) -> ClearedForm:
     return ClearedForm(Poly(coeffs), den)
 
 
-def defining_polys(params: InstanceParams) -> tuple[Poly, Poly, Poly]:
-    """(g, h_plus, h_minus): the degree-2p defining polynomial of the radical
-    over Q and its two conjugate degree-p factors over Q(sqrt(R)).
-
-    The factorization h_plus * h_minus = g is an exact identity in
-    Q(sqrt(R))[Z]; sqrt(R) is irrational for every valid instance.
-    """
-    p, d, R = params.p, params.d, params.R
-    g_coeffs = [Fraction(0)] * (2 * p + 1)
-    g_coeffs[0] = d * d - R
-    g_coeffs[p] = -2 * d
-    g_coeffs[2 * p] = Fraction(1)
-    g = Poly(g_coeffs)
-
-    def factor(sign: int) -> Poly:
-        cs = [QuadExt(0, 0, R)] * (p + 1)
-        cs[0] = QuadExt(-d, -sign, R)
-        cs[p] = QuadExt(1, 0, R)
-        return Poly(cs)
-
-    return g, factor(+1), factor(-1)
+def defining_poly(params: InstanceParams) -> Poly:
+    """The degree-2p defining polynomial g = (Z^p - d)^2 - R of the radical
+    over Q."""
+    p, d = params.p, params.d
+    coeffs = [Fraction(0)] * (2 * p + 1)
+    coeffs[0] = params.D
+    coeffs[p] = -2 * d
+    coeffs[2 * p] = Fraction(1)
+    return Poly(coeffs)

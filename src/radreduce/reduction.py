@@ -28,7 +28,7 @@ from . import exprtree as et
 from .construct import (
     InstanceParams,
     ReductionError,
-    defining_polys,
+    defining_poly,
     sqrt_part_poly,
     trace_poly,
 )
@@ -161,7 +161,7 @@ def reduce_radical(p: int, d, R) -> ReductionResult:
     irrational u is a root of f with no closed radical form here.
     """
     params = InstanceParams.create(p, d, R)
-    g, _, _ = defining_polys(params)
+    g = defining_poly(params)
     f = trace_poly(params)
     A = sqrt_part_poly(params)
 
@@ -246,8 +246,7 @@ def construct_example(p: int, D, u) -> tuple[InstanceParams, Poly]:
     params = InstanceParams.create(p, d, R)
     if trace_poly(params).evaluate(u) != 0:
         raise AssertionError("construction failed to plant the prescribed zero")
-    g, _, _ = defining_polys(params)
-    return params, g
+    return params, defining_poly(params)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from radreduce import exprtree as et
+from radreduce.cli import GOLDEN
 from radreduce.coeffs import (
     coeff_u,
     conv_s,
@@ -36,21 +37,17 @@ BOUND_200 = F(1, 2**200)
 BOUND_180 = F(1, 2**180)
 
 
-def fpoly(*coeffs):
-    return Poly([F(c) for c in coeffs])
+def assert_golden(call, obj):
+    """`obj`, the JSON of `call`, holds every field the golden table fixes."""
+    fields = GOLDEN[call]
+    assert {name: obj[name] for name in fields} == fields
 
 
 def test_criterion_1_quintic_instance_exact():
     t0 = time.perf_counter()
     r = reduce_radical(5, 2, 5)
-    g = [F(0)] * 11
-    g[0], g[5], g[10] = F(-1), F(-4), F(1)
-    assert r.g == Poly(g)
-    assert r.params.D == -1
-    assert r.f == fpoly(-4, 5, 0, 5, 0, 1)
-    assert r.A == fpoly(F(1, 5), F(1, 5), F(2, 5), 0, F(1, 10))
-    assert r.z == -1
-    assert r.u_roots == ()  # no rational root
+    # D, g, f, A, z = -1 and no rational root of f
+    assert_golden(("reduce_radical", 5, 2, 5), r.to_json())
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"criterion 1 (quintic instance, exact): PASS ({elapsed:.3f}s)")
@@ -59,11 +56,8 @@ def test_criterion_1_quintic_instance_exact():
 def test_criterion_2_septic_instance_exact_and_numeric():
     t0 = time.perf_counter()
     r = reduce_radical(7, -2158, 4656966)
-    g = [F(0)] * 15
-    g[0], g[7], g[14] = F(-2), F(4316), F(1)
-    assert r.g == Poly(g)
-    assert r.params.D == -2
-    assert r.u == 4
+    # D, g, u = 4 and irrational z
+    assert_golden(("reduce_radical", 7, -2158, 4656966), r.to_json())
 
     # Branches must equal 2^(4/7) * (-1 +- sqrt(6)/2), built independently.
     targets = [
@@ -89,7 +83,7 @@ def test_criterion_2_septic_instance_exact_and_numeric():
 
 def test_criterion_3_construction_reproduction():
     params, _ = construct_example(7, -2, 4)
-    assert params.d == -2158
+    assert_golden(("construct_example", 7, -2, 4), {"d": str(params.d), "R": str(params.R)})
     assert params.R == 6 * 881**2
     roundtrip = reduce_radical(params.p, params.d, params.R)
     assert roundtrip.u == 4 and roundtrip.u_roots == (F(4),)
@@ -144,10 +138,9 @@ def test_criterion_6_hypergeometric_suite():
 
 def test_criterion_7_cubic_golden_instance():
     r = reduce_radical(3, -7, 50)
-    assert r.u == 2
-    assert r.z == -1
+    # u = 2, z = -1 and the branch values -1 +- sqrt(2)
+    assert_golden(("reduce_radical", 3, -7, 50), r.to_json())
     plus = r.branch_values[0]
-    assert plus == QuadExt(-1, F(1, 5), 50)  # -1 + sqrt(2), since (1/5)sqrt(50) = sqrt(2)
     # exact symbolic cube: (sqrt(2) - 1)^3 = 5 sqrt(2) - 7 = -7 + sqrt(50)
     assert plus**3 == QuadExt(-7, 1, 50)
     print("criterion 7 (cubic golden instance, exact QuadExt): PASS")
@@ -155,11 +148,11 @@ def test_criterion_7_cubic_golden_instance():
 
 def test_criterion_8_euclid_formulas():
     sq = euclid_denest(3, 5)
-    assert (sq.x1, sq.x2) == (F(5, 2), F(1, 2))
+    assert_golden(("euclid_denest", 3, 5), sq.to_json())
     assert sq.certify(3, 5)
 
     fourth = euclid_biquadratic(7, 48)
-    assert (fourth.inner, fourth.half_k) == (F(1), F(1, 2))
+    assert_golden(("euclid_biquadratic", 7, 48), fourth.to_json())
     assert fourth.certify(7, 48)
 
     with mp.workprec(300):

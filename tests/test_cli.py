@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from radreduce.cli import MAX_BITS, MAX_P, MAX_P_MAX, build_parser, main
+from radreduce.cli import GOLDEN, MAX_BITS, MAX_P, MAX_P_MAX, build_parser, main
 
 SEPTIC_NUMERIC = ["reduce", "--p", "7", "--d", "-2158", "--R", "4656966", "--numeric"]
 # construct_example(11, -2, 20): residual about 4e-60, about 4e-85 relative to R.
@@ -24,11 +24,9 @@ class TestReduceCommand:
         code, out = run(capsys, "reduce", "--p", "5", "--d", "2", "--R", "5")
         assert code == 0
         obj = json.loads(out)
-        assert obj["f"] == ["-4", "5", "0", "5", "0", "1"]
-        assert obj["z"] == "-1"
+        golden = GOLDEN["reduce_radical", 5, 2, 5]
+        assert {name: obj[name] for name in golden} == golden
         assert obj["u"] == "irrational"
-        assert obj["D"] == "-1"
-        assert obj["A"] == ["1/5", "1/5", "2/5", "0", "1/10"]
 
     def test_divisor_rich_norm(self, capsys):
         # D = 720720 = 2^4 3^2 5 7 11 13 gives the root search many divisor pairs.
@@ -211,6 +209,40 @@ class TestSelftestCommand:
         assert {"quintic-exact", "septic-exact", "septic-numeric-residual",
                 "construction-roundtrip", "cubic-exact-denesting",
                 "square-denesting", "fourth-denesting"} <= names
+
+
+    @pytest.mark.parametrize(
+        "fault,failing",
+        [
+            (
+                "no-rational-roots",
+                {"septic-exact", "septic-numeric-residual", "construction-roundtrip",
+                 "cubic-exact-denesting"},
+            ),
+            ("sqrt-part-off-by-one", {"quintic-exact", "septic-numeric-residual",
+                                      "cubic-exact-denesting"}),
+        ],
+    )
+    def test_library_fault_fails_checks(self, capsys, monkeypatch, fault, failing):
+        import radreduce.reduction as reduction_mod
+        from radreduce.poly import Poly
+
+        if fault == "no-rational-roots":
+            monkeypatch.setattr(reduction_mod, "rational_roots", lambda f: set())
+        else:
+            original = reduction_mod.sqrt_part_poly
+
+            def shifted(params):
+                A = original(params)
+                return Poly([A.coeffs[0] + 1, *A.coeffs[1:]])
+
+            monkeypatch.setattr(reduction_mod, "sqrt_part_poly", shifted)
+        code, out = run(capsys, "selftest")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["ok"] is False
+        assert len(obj["checks"]) == 7
+        assert {c["name"] for c in obj["checks"] if not c["pass"]} == failing
 
 
 class TestCliContract:

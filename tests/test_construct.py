@@ -9,7 +9,7 @@ from radreduce.construct import (
     ReductionError,
     cofactor_poly,
     cofactor_symbolic,
-    defining_polys,
+    defining_poly,
     sqrt_part_poly,
     sqrt_part_symbolic,
     trace_poly,
@@ -146,28 +146,35 @@ class TestCofactorPoly:
 class TestDefiningPolys:
     def test_quintic_instance(self):
         params = InstanceParams.create(5, 2, 5)
-        g, _, _ = defining_polys(params)
+        g = defining_poly(params)
         expected = [F(0)] * 11
         expected[0], expected[5], expected[10] = F(-1), F(-4), F(1)
         assert g == Poly(expected)
 
     def test_septic_instance(self):
         params = InstanceParams.create(7, -2158, 4656966)
-        g, _, _ = defining_polys(params)
+        g = defining_poly(params)
         expected = [F(0)] * 15
         expected[0], expected[7], expected[14] = F(-2), F(4316), F(1)
         assert g == Poly(expected)
 
     def test_square_R_rejected(self):
-        # A square R never reaches defining_polys: InstanceParams.create rejects it.
+        # A square R never reaches defining_poly: InstanceParams.create rejects it.
         with pytest.raises(ReductionError, match="R = 4 is a rational square"):
-            defining_polys(InstanceParams.create(3, 3, 4))
+            defining_poly(InstanceParams.create(3, 3, 4))
 
     @given(small_fractions, small_fractions, st.sampled_from([3, 5, 7]))
     @settings(max_examples=40)
     def test_conjugate_factorization(self, d, R, p):
+        # g = h_plus * h_minus over Q(sqrt(R)), h_pm = Z^p - (d +- sqrt(R)).
         assume(valid_params(p, d, R))
         params = InstanceParams.create(p, d, R)
-        g, h_plus, h_minus = defining_polys(params)
-        lifted = g.map(lambda q: QuadExt(q, 0, params.R))
-        assert h_plus * h_minus == lifted
+
+        def factor(sign):
+            cs = [QuadExt(0, 0, params.R)] * (p + 1)
+            cs[0] = QuadExt(-params.d, -sign, params.R)
+            cs[p] = QuadExt(1, 0, params.R)
+            return Poly(cs)
+
+        lifted = defining_poly(params).map(lambda q: QuadExt(q, 0, params.R))
+        assert factor(+1) * factor(-1) == lifted

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radreduce.construct import InstanceParams, defining_polys, trace_poly
+from radreduce.construct import InstanceParams, defining_poly, trace_poly
 from radreduce.exactnum import FactorizationError, QuadExt, rational_is_square, rational_odd_root
 from radreduce.poly import Poly, rational_roots
 from radreduce.reduction import (
@@ -93,8 +93,39 @@ class TestValidityDecidesConditions:
     @settings(max_examples=80, deadline=None)
     def test_g_has_no_rational_roots(self, instance):
         # The proof in the NecessaryConditions docstring, against a full scan.
-        g, _, _ = defining_polys(InstanceParams.create(*instance))
+        g = defining_poly(InstanceParams.create(*instance))
         assert rational_roots(g) == set()
+
+
+class TestQuadExtConstructions:
+    """Only exact branch values are built in Q(sqrt(R)); g needs no conjugate
+    factors over it."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        made = []
+        original = QuadExt.__post_init__
+
+        def counting(self):
+            made.append(self)
+            original(self)
+
+        monkeypatch.setattr(QuadExt, "__post_init__", counting)
+        return made
+
+    @pytest.mark.parametrize(
+        "call,expected",
+        [
+            ((reduce_radical, 5, 2, 5), 0),
+            ((reduce_radical, 7, -2158, 4656966), 0),
+            ((construct_example, 7, -2, 4), 0),
+            ((reduce_radical, 3, -7, 50), 2),  # the two branch values
+        ],
+    )
+    def test_count(self, count, call, expected):
+        fn, *args = call
+        fn(*args)
+        assert len(count) == expected
 
 
 class TestReduceErrors:
