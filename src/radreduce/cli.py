@@ -75,15 +75,15 @@ def _int_in_range(low: int, high: int | None = None):
 
 
 # Residuals are required below 2^-(bits - 56) by default, so fewer bits have no
-# bound.  The upper limits bound the time of `coeffs`, `verify` and `--bits`
-# (README, "Command-line interface"); they do not bound `reduce`, whose time
-# grows with the number of divisors of D.
+# bound.  The upper limits bound the time of `coeffs`, `verify`, `--bits` and
+# `--tolerance-exp` (README, "Command-line interface"); they do not bound
+# `reduce`, whose time grows with the number of divisors of D.
 MAX_P = 1001
 MAX_BITS = 65536
 MAX_P_MAX = 401
 _p_in_range = _int_in_range(3, MAX_P)
 _bits = _int_in_range(ZERO_MARGIN_BITS + 1, MAX_BITS)
-_tolerance_exp = _int_in_range(0)
+_tolerance_exp = _int_in_range(0, MAX_BITS)
 
 
 def _odd_p(text: str) -> int:

@@ -1,25 +1,24 @@
 """Closed-form coefficient families of the reduction polynomials.
 
-For odd p >= 3 the degree-p trace polynomial f (satisfied by the scaled sum
-u = z^((p-1)/2) * (y + y') of conjugate radical roots), the sqrt-part
-polynomial A, and the cofactor polynomial f' of the fundamental identity
-4*D^2*A^2*R = f*f' + Z^2 - 4*D all have coefficients given by explicit
-binomial closed forms.  This module computes them exactly, along with the
-convolution sums coupling them and the closed form u_k both convolutions
-collapse to.
+For odd p >= 3 and h = (p-1)/2, the trace polynomial f, the sqrt-part
+polynomial A and the cofactor polynomial f' of the fundamental identity
+4*D^2*A^2*R = f*f' + Z^2 - 4*D are Dickson polynomials D_n(Z, D) plus a
+d-term (Lidl, Mullen and Turnwald, *Dickson Polynomials*, 1993): f is
+D_p - 2 d D^h, and the cleared numerators of A and f' are
+(-1)^h (D_{p-1} - d D^(h-1) Z) and D_{p-2} - 2 d D^(h-1).  `dickson` states
+the coefficient of D_n once; every family is an index map into it:
 
-Families (CLI tags in parentheses):
-
-* c_{2k+1} ("c")      - odd-degree coefficients of f
-* a_{2k}   ("a")      - even-degree coefficients of A (cleared form)
-* c'_{2j+1} ("cprime") - odd-degree coefficients of f'
+* c_{2k+1} ("c")      - odd-degree coefficients of f, from D_p
+* a_{2k}   ("a")      - even-degree coefficients of A (cleared), from D_{p-1}
+* c'_{2j+1} ("cprime") - odd-degree coefficients of f', from D_{p-2}
 * C_{p-2k} ("C")      - coefficients of the expansion of X^p + 1 in the
-                         basis X^k (X+1)^(p-2k), solved from the triangular
-                         linear system they satisfy, column by column
-* u_k      ("u")      - closed form equal to both convolution sums s_k, t_k
+                         basis X^k (X+1)^(p-2k), solved column by column from
+                         their triangular system: c again, by another route
+* u_k      ("u")      - closed form of both convolution sums s_k, t_k, from
+                         D_{2p-2}
 
-All values are integers and computed as ``int``: each closed form divides an
-integer exactly, the division checked to leave no remainder.
+(CLI tags in parentheses.)  All values are ``int``; the division in the
+Dickson term is checked to leave no remainder.
 """
 
 from __future__ import annotations
@@ -39,54 +38,41 @@ def _check_p(p: int) -> None:
         raise ValueError(f"p must be an odd integer >= 3, got {p}")
 
 
-def _quotient(num: int, den: int) -> int:
-    """num / den for a closed form known to be an integer; raises if it is not."""
-    q, r = divmod(num, den)
+def dickson(n: int, j: int) -> int:
+    """(-1)^j (n/(n-j)) binom(n-j, j), the coefficient of D^j Z^(n-2j) in the
+    Dickson polynomial D_n(Z, D), for n >= 1; 0 outside 0 <= 2j <= n."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if j < 0 or 2 * j > n:
+        return 0
+    q, r = divmod(n * comb(n - j, j), n - j)
     if r:
-        raise ArithmeticError(f"closed form {num}/{den} is not an integer")
-    return q
+        raise ArithmeticError(f"closed form {n}*binom({n - j}, {j})/{n - j} is not an integer")
+    return -q if j % 2 else q
 
 
 def coeff_c(p: int, k: int) -> int:
-    """c_{2k+1}, the coefficient family of the trace polynomial f; 0 outside
-    0 <= k <= (p-1)/2."""
+    """c_{2k+1}, the coefficient of D^((p-1)/2-k) Z^(2k+1) in D_p; 0 for other k."""
     _check_p(p)
-    half = (p - 1) // 2
-    if k < 0 or k > half:
-        return 0
-    m = (p + 1) // 2 + k
-    sign = -1 if (half - k) % 2 else 1
-    return sign * _quotient(p * binom(m, 2 * k + 1), m)
+    return dickson(p, (p - 1) // 2 - k)
 
 
 def coeff_c_descending(p: int, k: int) -> int:
-    """c_{p-2k} = (-1)^k (p/(p-k)) binom(p-k, k), the descending-index closed
-    form of the family of `coeff_c`, for 0 <= k <= (p-1)/2."""
+    """c_{p-2k}, `coeff_c` by descending index: the coefficient of D^k Z^(p-2k) in D_p."""
     _check_p(p)
-    if k < 0 or k > (p - 1) // 2:
-        return 0
-    sign = -1 if k % 2 else 1
-    return sign * _quotient(p * binom(p - k, k), p - k)
+    return dickson(p, k)
 
 
 def coeff_a(p: int, k: int) -> int:
-    """a_{2k}, the even-degree coefficient family of the sqrt-part polynomial."""
+    """a_{2k}, the coefficient of D^((p-1)/2-k) Z^(2k) in (-1)^((p-1)/2) D_{p-1}."""
     _check_p(p)
-    half = (p - 1) // 2
-    if k < 0 or k > half:
-        return 0
-    sign = -1 if k % 2 else 1
-    return sign * _quotient((p - 1) * binom(half + k, 2 * k), half + k)
+    return (-1) ** ((p - 1) // 2) * dickson(p - 1, (p - 1) // 2 - k)
 
 
 def coeff_cprime(p: int, j: int) -> int:
-    """c'_{2j+1}, the coefficient family of the cofactor polynomial."""
+    """c'_{2j+1}, the coefficient of D^((p-3)/2-j) Z^(2j+1) in D_{p-2}."""
     _check_p(p)
-    if j < 0 or j > (p - 3) // 2:
-        return 0
-    m = (p - 1) // 2 + j
-    sign = -1 if ((p - 3) // 2 - j) % 2 else 1
-    return sign * _quotient((p - 2) * binom(m, 2 * j + 1), m)
+    return dickson(p - 2, (p - 3) // 2 - j)
 
 
 def system_C(p: int) -> list[int]:
@@ -118,12 +104,12 @@ def system_C(p: int) -> list[int]:
 
 
 def coeff_u(p: int, k: int) -> int:
-    """Closed form u_k = ((-1)^k (p-1) / k) * binom(p+k-2, 2k-1), 1 <= k <= p-1."""
+    """u_k = ((-1)^k (p-1) / k) * binom(p+k-2, 2k-1), the coefficient of
+    D^(p-1-k) Z^(2k) in D_{2p-2}, for 1 <= k <= p-1."""
     _check_p(p)
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must satisfy 1 <= k <= p-1, got k={k}, p={p}")
-    sign = -1 if k % 2 else 1
-    return sign * _quotient((p - 1) * binom(p + k - 2, 2 * k - 1), k)
+    return dickson(2 * p - 2, p - 1 - k)
 
 
 def conv_s(p: int, k: int) -> int:

@@ -31,8 +31,8 @@ from .construct import (
     defining_poly,
     sqrt_part_poly,
     trace_poly,
+    trace_poly_symbolic,
 )
-from .coeffs import coeff_c
 from .exactnum import QuadExt, is_probable_prime, rational_is_square, rational_odd_root
 from .poly import Poly, rational_roots
 
@@ -224,10 +224,10 @@ def reduce_radical(p: int, d, R) -> ReductionResult:
 def construct_example(p: int, D, u) -> tuple[InstanceParams, Poly]:
     """Instance with a prescribed norm D and rational trace-polynomial zero u.
 
-    Solving f(u) = 0 for the free parameter d gives
-        d = (1/2) * sum_j c_{2j+1} u^(2j+1) / D^j,
-    and then R = d^2 - D.  Degenerate outcomes (d = 0, R = 0, or R a rational
-    square, which would make sqrt(R) rational) raise ReductionError.
+    Solving f(u) = D_p(u, D) - 2 d D^((p-1)/2) = 0 for the free parameter d
+    gives d = D_p(u, D) / (2 D^((p-1)/2)), and then R = d^2 - D.  Degenerate
+    outcomes (d = 0, R = 0, or R a rational square, which would make sqrt(R)
+    rational) raise ReductionError.
     """
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd integer >= 3, got {p}")
@@ -235,9 +235,8 @@ def construct_example(p: int, D, u) -> tuple[InstanceParams, Poly]:
     u = Fraction(u)
     if D == 0:
         raise ValueError("D must be nonzero")
-    d = Fraction(1, 2) * sum(
-        coeff_c(p, j) * u ** (2 * j + 1) / D**j for j in range((p - 1) // 2 + 1)
-    )
+    dickson_p = trace_poly_symbolic(p).map(lambda c: c.subs(0, D))  # f at d = 0
+    d = dickson_p.evaluate(u) / (2 * D ** ((p - 1) // 2))
     if d == 0:
         raise ReductionError("degenerate construction: d = 0")
     R = d * d - D

@@ -312,6 +312,8 @@ class TestCliContract:
             ["construct", "--p", str(MAX_P + 2), "--D", "-2", "--u", "4"],
             ["classify", "--p", str(MAX_P + 2), "--d", "2", "--R", "5"],
             ["coeffs", "--p", str(MAX_P + 2), "--family", "C"],
+            SEPTIC_NUMERIC + ["--tolerance-exp", str(MAX_BITS + 1)],
+            ["selftest", "--tolerance-exp", str(MAX_BITS + 1)],
         ],
     )
     def test_above_upper_limits_exit_2(self, capsys, argv):
@@ -322,6 +324,27 @@ class TestCliContract:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "must be <=" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (SEPTIC_NUMERIC + ["--tolerance-exp", str(MAX_BITS)], 0),
+            (["selftest", "--tolerance-exp", str(MAX_BITS)], 1),
+        ],
+        ids=["reduce", "selftest"],
+    )
+    def test_largest_tolerance_exp_runs(self, capsys, argv, code):
+        # No residual at the default 256 bits is below 2^-65536: reduce reports
+        # the bound missed and exits 0, selftest fails its residual check.
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        if argv[0] == "reduce":
+            numeric = json.loads(out)["numeric"]
+            assert numeric["residual_bound"] == f"2^-{MAX_BITS}"
+            assert numeric["residual_bound_ok"] is False
+        else:
+            failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+            assert failed == ["septic-numeric-residual"]
 
     # Not the text format, though int() or Fraction() accepts most of these.
     @pytest.mark.parametrize(

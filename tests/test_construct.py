@@ -1,10 +1,14 @@
+import functools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from radreduce.cli import GOLDEN
 from radreduce.construct import (
+    ClearedForm,
     InstanceParams,
     ReductionError,
     cofactor_poly,
@@ -143,20 +147,102 @@ class TestCofactorPoly:
         assert num == cofactor_poly(params) * den
 
 
+@functools.lru_cache(maxsize=None)
+def dickson_recurrence(n):
+    """D_n(Z, D) as {(Z-degree, D-degree): coefficient}, from D_0 = 2, D_1 = Z
+    and D_n = Z D_{n-1} - D D_{n-2}; independent of `radreduce.coeffs`."""
+    if n < 2:
+        return {(n, 0): 2 - n}
+    out = Counter()
+    for (z, j), c in dickson_recurrence(n - 1).items():
+        out[z + 1, j] += c
+    for (z, j), c in dickson_recurrence(n - 2).items():
+        out[z, j + 1] -= c
+    return {key: c for key, c in out.items() if c}
+
+
+def expected_numerator(n, sign, d_term):
+    """sign * (D_n + d_term) as {(Z-degree, d-degree, D-degree): coefficient},
+    with d_term one {(Z-degree, d-degree, D-degree): coefficient} entry."""
+    terms = {(z, 0, j): c for (z, j), c in dickson_recurrence(n).items()}
+    ((key, c),) = d_term.items()
+    assert key not in terms
+    terms[key] = c
+    return {key: sign * c for key, c in terms.items()}
+
+
+def flat(poly):
+    """A Poly of ParamPoly as {(Z-degree, d-degree, D-degree): coefficient}."""
+    return {(z, i, j): v for z, c in enumerate(poly.coeffs) for (i, j), v in c.terms.items()}
+
+
+def statements(p):
+    """{name: (numerator, denominator)} of f, At and Ft' from the recurrence,
+    h = (p-1)/2; the denominators are built as products."""
+    h = (p - 1) // 2
+    R = ParamPoly({(2, 0): 1, (0, 1): -1})  # d^2 - D
+    return {
+        "f": (expected_numerator(p, 1, {(0, 1, h): -2}), ParamPoly.const(1)),
+        "A": (
+            expected_numerator(p - 1, (-1) ** h, {(1, 1, h - 1): -1}),
+            2 * R * ParamPoly.monomial(1, 0, h),
+        ),
+        "f'": (
+            expected_numerator(p - 2, 1, {(0, 1, h - 1): -2}),
+            R * ParamPoly.monomial(1, 0, p - 3),
+        ),
+    }
+
+
+SYMBOLIC = {
+    "f": lambda p: ClearedForm(trace_poly_symbolic(p), ParamPoly.const(1)),
+    "A": sqrt_part_symbolic,
+    "f'": cofactor_symbolic,
+}
+CONCRETE = {"f": trace_poly, "A": sqrt_part_poly, "f'": cofactor_poly}
+
+
+class TestDicksonStatements:
+    """f = D_p - 2dD^h, At = (-1)^h (D_{p-1} - dD^(h-1) Z) over 2(d^2 - D)D^h and
+    Ft' = D_{p-2} - 2dD^(h-1) over (d^2 - D)D^(p-3), with D_n built by its
+    three-term recurrence rather than by the closed form the library uses."""
+
+    def test_recurrence_oracle(self):
+        # D_5 = Z^5 - 5D Z^3 + 5D^2 Z
+        assert dickson_recurrence(5) == {(5, 0): 1, (3, 1): -5, (1, 2): 5}
+
+    @pytest.mark.parametrize("p", range(3, 100, 2))
+    def test_symbolic_matches_recurrence(self, p):
+        for name, (numerator, denominator) in statements(p).items():
+            cleared = SYMBOLIC[name](p)
+            assert flat(cleared.numerator) == numerator, name
+            assert cleared.denominator == denominator, name
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 99])
+    def test_concrete_matches_recurrence(self, p):
+        d, D = F(3, 2), F(-5, 7)
+        params = InstanceParams.create(p, d, d * d - D)
+        for name, (numerator, denominator) in statements(p).items():
+            coeffs = [F(0)] * (max(z for z, _, _ in numerator) + 1)
+            for (z, i, j), c in numerator.items():
+                coeffs[z] += c * d**i * D**j
+            want = Poly(coeffs).map(lambda c: c / denominator.subs(d, D))
+            assert CONCRETE[name](params) == want, name
+
+
+def golden_g(p, d, R):
+    """The g that `GOLDEN` fixes for `reduce_radical(p, d, R)`."""
+    return Poly([F(c) for c in GOLDEN["reduce_radical", p, d, R]["g"]])
+
+
 class TestDefiningPolys:
     def test_quintic_instance(self):
         params = InstanceParams.create(5, 2, 5)
-        g = defining_poly(params)
-        expected = [F(0)] * 11
-        expected[0], expected[5], expected[10] = F(-1), F(-4), F(1)
-        assert g == Poly(expected)
+        assert defining_poly(params) == golden_g(5, 2, 5)
 
     def test_septic_instance(self):
         params = InstanceParams.create(7, -2158, 4656966)
-        g = defining_poly(params)
-        expected = [F(0)] * 15
-        expected[0], expected[7], expected[14] = F(-2), F(4316), F(1)
-        assert g == Poly(expected)
+        assert defining_poly(params) == golden_g(7, -2158, 4656966)
 
     def test_square_R_rejected(self):
         # A square R never reaches defining_poly: InstanceParams.create rejects it.

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from radreduce.cli import GOLDEN
 from radreduce.construct import InstanceParams, defining_poly, trace_poly
 from radreduce.exactnum import FactorizationError, QuadExt, rational_is_square, rational_odd_root
 from radreduce.poly import Poly, rational_roots
@@ -20,20 +21,33 @@ from radreduce import exprtree as et
 F = Fraction
 
 
+QUINTIC = ("reduce_radical", 5, 2, 5)
+SEPTIC = ("reduce_radical", 7, -2158, 4656966)
+CUBIC = ("reduce_radical", 3, -7, 50)
+
+
+def golden_rational(call, field):
+    """The value `GOLDEN` fixes for `field` of `call`, as a Fraction, or None
+    where the table says "irrational"."""
+    text = GOLDEN[call][field]
+    return None if text == "irrational" else F(text)
+
+
 class TestReduceGoldenInstances:
     def test_quintic(self):
-        r = reduce_radical(5, 2, 5)
-        assert r.params.D == -1
-        assert r.f == Poly([F(-4), F(5), F(0), F(5), F(0), F(1)])
-        assert r.z == -1
-        assert r.u is None and r.u_roots == ()
+        r = reduce_radical(*QUINTIC[1:])
+        assert r.params.D == golden_rational(QUINTIC, "D")
+        assert r.f == Poly([F(c) for c in GOLDEN[QUINTIC]["f"]])
+        assert r.z == golden_rational(QUINTIC, "z")
+        assert r.u is None and r.u_roots == tuple(F(u) for u in GOLDEN[QUINTIC]["u_roots"])
         assert r.branches is None and r.quadratic_form is None
 
     def test_septic(self):
-        r = reduce_radical(7, -2158, 4656966)
-        assert r.params.D == -2
-        assert r.u == 4 and r.u_roots == (F(4),)
-        assert r.z is None  # -2 is not a rational 7th power
+        r = reduce_radical(*SEPTIC[1:])
+        assert r.params.D == golden_rational(SEPTIC, "D")
+        assert r.u == golden_rational(SEPTIC, "u") and r.u_roots == (r.u,)
+        assert golden_rational(SEPTIC, "z") is None  # -2 is not a rational 7th power
+        assert r.z is None
         assert r.branches is not None and r.branch_values is None
         # branch trees: (root7(-2))^4 * (-1 +- (1/1762) * sqrt(R))
         plus = r.branches[0]
@@ -45,12 +59,12 @@ class TestReduceGoldenInstances:
         )
 
     def test_cubic(self):
-        r = reduce_radical(3, -7, 50)
+        r = reduce_radical(*CUBIC[1:])
         assert r.params.D == -1
-        assert r.u == 2 and r.z == -1
-        assert r.branch_values == (
-            QuadExt(-1, F(1, 5), 50),
-            QuadExt(-1, F(-1, 5), 50),
+        assert r.u == golden_rational(CUBIC, "u")
+        assert r.z == golden_rational(CUBIC, "z")
+        assert r.branch_values == tuple(
+            QuadExt(F(v["a"]), F(v["b"]), F(v["R"])) for v in GOLDEN[CUBIC]["branch_values"]
         )
         # exact denesting: (-1 + sqrt(2))^3 = -7 + sqrt(50), in Q(sqrt(50))
         assert r.branch_values[0] ** 3 == QuadExt(-7, 1, 50)
