@@ -25,17 +25,14 @@ from __future__ import annotations
 
 from math import comb
 
+from .exactnum import check_p
+
 
 def binom(m: int, n: int) -> int:
     """Binomial coefficient with the extended convention: 0 for n < 0 or n > m."""
     if n < 0 or n > m:
         return 0
     return comb(m, n)
-
-
-def _check_p(p: int) -> None:
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd integer >= 3, got {p}")
 
 
 def dickson(n: int, j: int) -> int:
@@ -53,25 +50,19 @@ def dickson(n: int, j: int) -> int:
 
 def coeff_c(p: int, k: int) -> int:
     """c_{2k+1}, the coefficient of D^((p-1)/2-k) Z^(2k+1) in D_p; 0 for other k."""
-    _check_p(p)
+    check_p(p)
     return dickson(p, (p - 1) // 2 - k)
-
-
-def coeff_c_descending(p: int, k: int) -> int:
-    """c_{p-2k}, `coeff_c` by descending index: the coefficient of D^k Z^(p-2k) in D_p."""
-    _check_p(p)
-    return dickson(p, k)
 
 
 def coeff_a(p: int, k: int) -> int:
     """a_{2k}, the coefficient of D^((p-1)/2-k) Z^(2k) in (-1)^((p-1)/2) D_{p-1}."""
-    _check_p(p)
+    check_p(p)
     return (-1) ** ((p - 1) // 2) * dickson(p - 1, (p - 1) // 2 - k)
 
 
 def coeff_cprime(p: int, j: int) -> int:
     """c'_{2j+1}, the coefficient of D^((p-3)/2-j) Z^(2j+1) in D_{p-2}."""
-    _check_p(p)
+    check_p(p)
     return dickson(p - 2, (p - 3) // 2 - j)
 
 
@@ -87,7 +78,7 @@ def system_C(p: int) -> list[int]:
     j = k + i below, and the next unknown is minus its residual.  The
     binomials are stepped along each row, so no binomial is computed afresh.
     """
-    _check_p(p)
+    check_p(p)
     half = (p - 1) // 2
     residual = [0] * (half + 1)
     out = []
@@ -106,7 +97,7 @@ def system_C(p: int) -> list[int]:
 def coeff_u(p: int, k: int) -> int:
     """u_k = ((-1)^k (p-1) / k) * binom(p+k-2, 2k-1), the coefficient of
     D^(p-1-k) Z^(2k) in D_{2p-2}, for 1 <= k <= p-1."""
-    _check_p(p)
+    check_p(p)
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must satisfy 1 <= k <= p-1, got k={k}, p={p}")
     return dickson(2 * p - 2, p - 1 - k)
@@ -115,7 +106,7 @@ def coeff_u(p: int, k: int) -> int:
 def conv_s(p: int, k: int) -> int:
     """s_k = sum_j a_{2j} * a_{2(k-j)}: the even-coefficient convolution of the
     sqrt-part polynomial with itself (out-of-range factors are 0)."""
-    _check_p(p)
+    check_p(p)
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must satisfy 1 <= k <= p-1, got k={k}, p={p}")
     return sum(coeff_a(p, j) * coeff_a(p, k - j) for j in range(k + 1))
@@ -124,7 +115,7 @@ def conv_s(p: int, k: int) -> int:
 def conv_t(p: int, k: int) -> int:
     """t_k = sum_j c_{2j+1} * c'_{2(k-j-1)+1}: the even-coefficient convolution
     of the trace polynomial with the cofactor polynomial."""
-    _check_p(p)
+    check_p(p)
     if not 2 <= k <= p - 1:
         raise ValueError(f"k must satisfy 2 <= k <= p-1, got k={k}, p={p}")
     return sum(coeff_c(p, j) * coeff_cprime(p, k - j - 1) for j in range(k))
@@ -137,10 +128,10 @@ def vanishing_sum(p: int, j: int) -> int:
 
     equals 1 for j = 0 and vanishes for 1 <= j <= (p-1)/2.
     """
-    _check_p(p)
+    check_p(p)
     if j < 0 or j > (p - 1) // 2:
         raise ValueError(f"j must satisfy 0 <= j <= (p-1)/2, got j={j}, p={p}")
-    return sum(coeff_c_descending(p, k) * binom(p - 2 * k, j - k) for k in range(j + 1))
+    return sum(dickson(p, k) * binom(p - 2 * k, j - k) for k in range(j + 1))
 
 
 # Recurrence certificates.  Both convolution families satisfy linear

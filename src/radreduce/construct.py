@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import dickson
-from .exactnum import rational_is_square
+from .exactnum import check_p, rational_is_square
 from .poly import ParamPoly, Poly
 
 
@@ -44,8 +44,7 @@ class InstanceParams:
 
     @classmethod
     def create(cls, p: int, d, R) -> "InstanceParams":
-        if not isinstance(p, int) or p < 3 or p % 2 == 0:
-            raise ValueError(f"p must be an odd integer >= 3, got {p}")
+        check_p(p)
         d = Fraction(d)
         R = Fraction(R)
         if d == 0:

@@ -106,13 +106,18 @@ def rational_is_square(q: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
+def check_p(p: int) -> None:
+    """Raise ValueError unless p is an odd ``int`` >= 3."""
+    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+        raise ValueError(f"p must be an odd integer >= 3, got {p}")
+
+
 def rational_odd_root(q: Fraction, p: int) -> Fraction | None:
     """Unique real rational z with z**p == q for odd p >= 3, or None.
 
     Odd p makes the real root well defined for either sign of q.
     """
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd integer >= 3, got {p}")
+    check_p(p)
     sign = -1 if q < 0 else 1
     rn, ok_n = integer_nth_root(abs(q.numerator), p)
     if not ok_n:

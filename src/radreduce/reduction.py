@@ -33,7 +33,7 @@ from .construct import (
     trace_poly,
     trace_poly_symbolic,
 )
-from .exactnum import QuadExt, is_probable_prime, rational_is_square, rational_odd_root
+from .exactnum import QuadExt, check_p, is_probable_prime, rational_is_square, rational_odd_root
 from .poly import Poly, rational_roots
 
 
@@ -142,16 +142,6 @@ class ReductionResult:
         }
 
 
-def _z_power_expr(params: InstanceParams, z: Fraction | None, exponent: int) -> et.Expr:
-    """Expression for z^exponent; exact rational when z is rational."""
-    if z is not None:
-        return et.rat(z**exponent)
-    base = et.NthRoot(et.rat(params.D), params.p)
-    if exponent == 1:
-        return base
-    return et.Pow(base, exponent)
-
-
 def reduce_radical(p: int, d, R) -> ReductionResult:
     """Full reduction record for y = (d + sqrt(R))^(1/p).
 
@@ -168,44 +158,34 @@ def reduce_radical(p: int, d, R) -> ReductionResult:
     u_roots = tuple(sorted(rational_roots(f)))
     u = u_roots[0] if u_roots else None
     z = rational_odd_root(params.D, params.p)
+    h = (p - 1) // 2
 
-    branches = None
-    branch_values = None
-    quadratic_form = None
+    branches = branch_values = quadratic_form = None
     if u is not None:
         au = A.evaluate(u)
         center = u / (2 * params.D)
-        zpow = _z_power_expr(params, z, (p + 1) // 2)
-        branches = (
-            et.mul(zpow, et.add(et.rat(center), et.mul(et.rat(au), et.Sqrt(et.rat(params.R))))),
-            et.mul(zpow, et.add(et.rat(center), et.mul(et.rat(-au), et.Sqrt(et.rat(params.R))))),
-        )
-        if z is not None:
-            zc = z ** ((p + 1) // 2)
-            branch_values = (
-                QuadExt(zc * center, zc * au, params.R),
-                QuadExt(zc * center, -zc * au, params.R),
-            )
-        disc = u * u - 4 * params.D
-        factor: et.Expr
-        if z is not None:
-            factor = et.rat(Fraction(1, 2) / z ** ((p - 1) // 2))
+        if z is None:
+            root = et.NthRoot(et.rat(params.D), p)
+            zpow = et.Pow(root, h + 1)
+            factor = et.mul(et.rat(Fraction(1, 2)), et.Pow(root, -h))
         else:
-            factor = et.mul(
-                et.rat(Fraction(1, 2)),
-                et.Pow(et.NthRoot(et.rat(params.D), p), -((p - 1) // 2)),
-            )
-        quadratic_form = QuadraticForm(
-            factor=factor,
-            u=u,
-            discriminant=disc,
-            roots=(
-                et.mul(factor, et.add(et.rat(u), et.Sqrt(et.rat(disc)))),
-                et.mul(factor, et.add(et.rat(u), et.mul(et.rat(-1), et.Sqrt(et.rat(disc))))),
-            ),
+            zc = z ** (h + 1)
+            zpow = et.rat(zc)
+            factor = et.rat(Fraction(1, 2) / z**h)
+            branch_values = tuple(QuadExt(zc * center, s * zc * au, params.R) for s in (1, -1))
+        sqrt_R = et.Sqrt(et.rat(params.R))
+        branches = tuple(
+            et.mul(zpow, et.add(et.rat(center), et.mul(et.rat(s * au), sqrt_R))) for s in (1, -1)
         )
+        disc = u * u - 4 * params.D
+        sqrt_disc = et.Sqrt(et.rat(disc))
+        # The minus root keeps (-1)*sqrt(disc) as a product node, as its JSON shows it.
+        roots = tuple(
+            et.mul(factor, et.add(et.rat(u), signed))
+            for signed in (sqrt_disc, et.mul(et.rat(-1), sqrt_disc))
+        )
+        quadratic_form = QuadraticForm(factor, u, disc, roots)
 
-    conditions = NecessaryConditions(sqrtR_irrational=True, D_nonzero=True, g_rational_roots=())
     return ReductionResult(
         params=params,
         g=g,
@@ -217,7 +197,7 @@ def reduce_radical(p: int, d, R) -> ReductionResult:
         branches=branches,
         branch_values=branch_values,
         quadratic_form=quadratic_form,
-        conditions=conditions,
+        conditions=NecessaryConditions(sqrtR_irrational=True, D_nonzero=True, g_rational_roots=()),
     )
 
 
@@ -229,8 +209,7 @@ def construct_example(p: int, D, u) -> tuple[InstanceParams, Poly]:
     outcomes (d = 0, R = 0, or R a rational square, which would make sqrt(R)
     rational) raise ReductionError.
     """
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd integer >= 3, got {p}")
+    check_p(p)
     D = Fraction(D)
     u = Fraction(u)
     if D == 0:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radreduce.coeffs import coeff_c, coeff_u, system_C
 from radreduce.exactnum import (
     MR_PROVEN_BOUND,
     FactorizationError,
@@ -106,6 +107,24 @@ class TestOddRoot:
         z = rational_odd_root(q, p)
         if z is not None:
             assert z**p == q
+
+
+class TestCheckP:
+    """The coefficient families and rational_odd_root reject a non-int p, with one message."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: coeff_c(p, 0),
+            lambda p: coeff_u(p, 1),
+            system_C,
+            lambda p: rational_odd_root(Fraction(8), p),
+        ],
+        ids=["coeff_c", "coeff_u", "system_C", "rational_odd_root"],
+    )
+    def test_rejects_non_int_p(self, call):
+        with pytest.raises(ValueError, match=r"^p must be an odd integer >= 3, got 3\.0$"):
+            call(3.0)
 
 
 # 399165290221 * 798330580441, a strong pseudoprime to the bases 2, 3, ..., 37.

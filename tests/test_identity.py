@@ -47,19 +47,15 @@ class TestExpansion:
         assert report.ok, [c for c in report.checks if not c.passed]
 
 
-    def test_descending_closed_form_is_cross_checked(self, monkeypatch):
+    def test_closed_form_is_cross_checked(self, monkeypatch):
         import radreduce.identity as identity_mod
 
-        real = identity_mod.coeff_c_descending
-        monkeypatch.setattr(
-            identity_mod, "coeff_c_descending", lambda p, k: real(p, k) + (k == 2)
-        )
+        real = identity_mod.coeff_c
+        monkeypatch.setattr(identity_mod, "coeff_c", lambda p, k: real(p, k) + (k == 2))
         check = verify_expansion(9).checks[0]
         assert check.name == "system-solution-matches-closed-form"
         assert not check.passed
-        assert check.witness == (
-            "index k=2: system 27, closed form 27, descending closed form 28"
-        )
+        assert check.witness == "index k=2: system 27, closed form 28"
 
 
 class TestFundamentalIdentity:

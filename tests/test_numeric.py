@@ -312,7 +312,9 @@ class TestCliOutputBytes:
 
 class TestExactCliOutputBytes:
     """stdout of the exact identity and coefficient commands, byte for byte as
-    recorded before the identity checks moved onto packed-integer kernels."""
+    recorded before the identity checks moved onto packed-integer kernels, and
+    of `reduce` on each shape of branch tree, as recorded before the branch
+    pair was built from one expression over the sign."""
 
     @pytest.mark.parametrize(
         "argv,sha256",
@@ -324,6 +326,26 @@ class TestExactCliOutputBytes:
             (
                 ("coeffs", "--p", "1001", "--family", "C"),
                 "d8775eb60647defe8fdd042dc36be57d2836fde08e12d1d3b511da612a931adb",
+            ),
+            # Rational z and u, R > 0: exact branch values.
+            (
+                ("reduce", "--p", "3", "--d", "-7", "--R", "50"),
+                "bbc81626b18cdfdfc8af4c9c1698adb5a63cf3e493678188b86b062aacfdc987",
+            ),
+            # Rational z, R < 0.
+            (
+                ("reduce", "--p", "3", "--d", "-23/16", "--R", "-1519/256"),
+                "2b43b31e59a29ebff29a16badcc794e254377f9dfc0f59bd201f553cc70bd594",
+            ),
+            # Irrational z with three rational roots of f: z-power trees.
+            (
+                ("reduce", "--p", "3", "--d", "-10/7", "--R", "-243/49"),
+                "208f9fca61832feb42c5fc7cbf645a64b0b8503cb25791b397ae65c6bcdd28a7",
+            ),
+            # Irrational u: no branches.
+            (
+                ("reduce", "--p", "5", "--d", "2", "--R", "5"),
+                "1aa149d6b343a0a4fcbdcde1b871a0ab386c1e5ecdff5f396e026148a55cbd44",
             ),
         ],
     )
