@@ -72,24 +72,29 @@ def parse_rational(text: str) -> Fraction:
 def integer_nth_root(n: int, k: int) -> tuple[int, bool]:
     """Floor k-th root of n >= 0 and whether it is exact.
 
-    Pure integer Newton iteration; never touches floating point.
+    The one integer floor-root kernel: integer Newton descent from a seed
+    above the root and right to half its bits, which is a float of n's
+    leading bits for roots of at most 64 bits, else the root of n's top half.
     """
     if n < 0 or k < 1:
         raise ValueError("integer_nth_root requires n >= 0, k >= 1")
     if n in (0, 1) or k == 1:
         return n, True
-    # Start above the root and descend: r0 = 2^ceil(bits/k) >= n^(1/k).
-    r = 1 << -((-n.bit_length()) // k)
+    root_bits = -(-n.bit_length() // k)  # n^(1/k) < 2^root_bits
+    if root_bits <= 64:
+        # log2(n) / k errs by about root_bits * 2^-53, far inside the margin.
+        r = int(2.0 ** (math.log2(n) / k) * (1 + 2.0**-30)) + 1
+    else:
+        # (top + 1) * 2^half > n^(1/k), since top = floor((n >> k*half)^(1/k)).
+        half = root_bits // 2
+        r = (integer_nth_root(n >> (k * half), k)[0] + 1) << half
+    # Above the floor root each step lowers r; a step never goes below it (AM-GM).
     while True:
-        r_next = ((k - 1) * r + n // r ** (k - 1)) // k
+        power = r ** (k - 1)
+        r_next = ((k - 1) * r + n // power) // k
         if r_next >= r:
-            break
+            return r, power * r == n
         r = r_next
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r, r**k == n
 
 
 def rational_is_square(q: Fraction) -> Fraction | None:

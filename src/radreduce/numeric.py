@@ -1,7 +1,8 @@
 """High-precision numeric validation of reduction results.
 
-Expression trees are evaluated with real square and odd p-th roots, each
-computed by one Newton routine at the working precision from a 53-bit seed.
+Expression trees are evaluated with real square and odd p-th roots, all
+taken from one integer floor-root kernel (`exactnum.integer_nth_root`, and
+`math.isqrt` for square roots) applied to the shifted mantissa.
 Error control is by dual-precision agreement: every published value is
 computed once at B and once at 2B bits, and one gate accepts the pair only if
 they agree to 2^-(B - 16) relative to the 2B value; disagreement raises,
@@ -14,19 +15,20 @@ primitive p-th root of unity zeta, and confirms they are p distinct zeros of
 the trace polynomial.  When d < 0 < R the sum d + sqrt(R) would cancel, so it
 is taken in the norm form D / (d - sqrt(R)), equal to it because
 (d + sqrt(R))(d - sqrt(R)) = D, whose denominator adds two terms of one sign.
-zeta itself is computed two independent ways (Newton on w^p - 1 versus
-high-precision cosine/sine) and cross-checked.
+zeta itself is computed two independent ways (Newton on w^p - 1 at doubling
+precision versus high-precision cosine/sine) and cross-checked.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
 from . import exprtree as et
 from .construct import InstanceParams, trace_poly
-from .exactnum import DEFAULT_BITS, PrecisionError, tolerance_exp
+from .exactnum import DEFAULT_BITS, PrecisionError, integer_nth_root, tolerance_exp
 from .poly import rational_roots
 
 # Dual-precision agreement margin: B and 2B runs must agree to 2^-(B - 16).
@@ -63,26 +65,26 @@ def _from_fraction(q: Fraction):
     return mpf(q.numerator) / mpf(q.denominator)
 
 
-def _newton_root(x, n: int):
-    """Real n-th root of x (n = 2, or odd n >= 3) by Newton iteration at the
-    ambient precision.  Odd n takes x < 0 by sign symmetry; n = 2 rejects it."""
+def _real_root(x, n: int):
+    """Real n-th root of x (n = 2, or odd n >= 3) at the ambient precision,
+    from the one integer floor-root kernel: the floor root of the mantissa
+    shifted to n * (prec + 2) bits or more, by a shift congruent to the
+    exponent mod n, rounded to nearest.  Odd n takes x < 0 by sign symmetry;
+    n = 2 rejects it."""
     if x == 0:
         return mpf(0)
     negative = x < 0
     if negative and n == 2:
         raise EvalDomainError("square root of a negative real in real mode")
     ax = -x if negative else x
-    with mp.workprec(53):
-        r = ax ** (mpf(1) / n)
-    eps = mpf(2) ** (-(mp.prec - 8))
-    for _ in range(64):
-        r_next = ((n - 1) * r + ax / r ** (n - 1)) / n
-        converged = abs(r_next - r) <= abs(r_next) * eps
-        r = r_next
-        if converged:
-            break
+    _, man, exp, bc = ax._mpf_
+    need = max(0, n * (mp.prec + 2) - bc)
+    shift = need + (exp - need) % n
+    big = man << shift
+    root = math.isqrt(big) if n == 2 else integer_nth_root(big, n)[0]
+    r = mpf((root, (exp - shift) // n))
     if abs(r**n - ax) > abs(ax) * mpf(2) ** (-(mp.prec - 16)):
-        raise PrecisionError(f"degree-{n} root Newton iteration failed to converge")
+        raise PrecisionError(f"degree-{n} root residual above 2^-{mp.prec - 16}")
     return -r if negative else r
 
 
@@ -90,9 +92,9 @@ def _eval(node: et.Expr):
     if isinstance(node, et.Rat):
         return _from_fraction(node.value)
     if isinstance(node, et.Sqrt):
-        return _newton_root(_eval(node.arg), 2)
+        return _real_root(_eval(node.arg), 2)
     if isinstance(node, et.NthRoot):
-        return _newton_root(_eval(node.arg), node.degree)
+        return _real_root(_eval(node.arg), node.degree)
     if isinstance(node, et.Add):
         total = mpf(0)
         for term in node.terms:
@@ -179,19 +181,28 @@ def branch_residuals(result, bits: int = DEFAULT_BITS) -> dict:
 def zeta_two_ways(p: int, bits: int = DEFAULT_BITS):
     """Primitive p-th root of unity by two independent routes.
 
-    Newton on w^p - 1 from a 53-bit seed, versus cosine/sine evaluated at full
-    precision.  Raises PrecisionError if they disagree beyond 2^-(bits-16).
+    zeta is complex, so unlike the real roots it does not come from the one
+    integer floor-root kernel.  Newton on w^p - 1 from a 53-bit seed runs at
+    doubling precision, then at full precision until the step converges,
+    versus cosine/sine at full precision.  Raises PrecisionError if they
+    disagree beyond 2^-(bits-16).
     """
     with mp.workprec(bits + _GUARD):
         with mp.workprec(53):
             angle = 2 * mp.pi / p
-            seed = mpc(mp.cos(angle), mp.sin(angle))
-        w = mpc(seed)
+            w = mpc(mp.cos(angle), mp.sin(angle))
+        # Each step doubles the correct bits, so it runs at about twice the
+        # precision its input is good to.
+        rungs = [mp.prec]
+        while rungs[-1] > 128:
+            rungs.append(rungs[-1] // 2 + 8)
         eps = mpf(2) ** (-(mp.prec - 8))
-        for _ in range(64):
-            step = (w**p - 1) / (p * w ** (p - 1))
-            w = w - step
-            if abs(step) <= abs(w) * eps:
+        for prec in rungs[:0:-1] + [mp.prec] * 64:
+            with mp.workprec(prec):
+                power = w ** (p - 1)
+                step = (power * w - 1) / (p * power)
+                w = w - step
+            if prec == mp.prec and abs(step) <= abs(w) * eps:
                 break
         if abs(w**p - 1) > mpf(2) ** (-(mp.prec - 16)):
             raise PrecisionError("root-of-unity Newton iteration failed to converge")
@@ -210,9 +221,9 @@ def _root_map_once(params: InstanceParams, bits: int) -> list:
     p = params.p
     with mp.workprec(bits + _GUARD):
         if params.R > 0:
-            sqrtR = _newton_root(_from_fraction(params.R), 2)
+            sqrtR = _real_root(_from_fraction(params.R), 2)
         else:
-            sqrtR = mpc(0, _newton_root(_from_fraction(-params.R), 2))
+            sqrtR = mpc(0, _real_root(_from_fraction(-params.R), 2))
         d = _from_fraction(params.d)
         if d < 0 < params.R:
             # d + sqrt(R) cancels; the norm form D / (d - sqrt(R)) is the same
@@ -221,11 +232,15 @@ def _root_map_once(params: InstanceParams, bits: int) -> list:
         else:
             w = d + sqrtR
         y = mp.exp(mp.log(mpc(w)) / p)  # principal complex p-th root
-        z = _newton_root(_from_fraction(params.D), p)
+        z = _real_root(_from_fraction(params.D), p)
         zeta, _, _ = zeta_two_ways(p, bits)
         y_conj = z / y
         zhalf = z ** ((p - 1) // 2)
-        return [zhalf * (y * zeta**k + y_conj * zeta ** (-k)) for k in range(p)]
+        powers = [mpc(1)]
+        for _ in range(p - 1):
+            powers.append(powers[-1] * zeta)
+        # zeta^-k = zeta^(p-k)
+        return [zhalf * (y * powers[k] + y_conj * powers[-k]) for k in range(p)]
 
 
 def root_map_values(p: int, d, R, bits: int = DEFAULT_BITS) -> list:
@@ -260,16 +275,13 @@ def verify_root_map(p: int, d, R, bits: int = DEFAULT_BITS, tol_exp: int | None 
         for u in u_high:
             mag = max(mpf(1), abs(u))
             scale = mpf(0)
-            for i, c in enumerate(abs_coeffs):
-                scale += c * mag**i
+            for c in reversed(abs_coeffs):
+                scale = scale * mag + c
             rel = abs(f_num.evaluate(u)) / scale
             max_rel = max(max_rel, rel)
 
-        min_dist = None
-        for i in range(p):
-            for j in range(i + 1, p):
-                dist = abs(u_high[i] - u_high[j])
-                min_dist = dist if min_dist is None else min(min_dist, dist)
+        diffs = (u_high[i] - u_high[j] for i in range(p) for j in range(i + 1, p))
+        min_dist = mp.sqrt(min(w.real * w.real + w.imag * w.imag for w in diffs))
         distinct = min_dist > mpf(2) ** (-(bits // 2))
         value_strs = [mp.nstr(u, 30) for u in u_high]
         # Every rational zero of f must appear among the u_k.

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,37 @@ class TestIntegerRoot:
         r, exact = integer_nth_root(n, k)
         assert r**k <= n < (r + 1) ** k
         assert exact == (r**k == n)
+
+
+root_degrees = st.sampled_from([*range(2, 16), 101, 1001])
+
+
+class TestIntegerRootLarge:
+    """The floor-root kernel on numbers of up to 30000 bits and large k."""
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**30000), root_degrees)
+    def test_floor_property(self, n, k):
+        r, exact = integer_nth_root(n, k)
+        assert r**k <= n < (r + 1) ** k
+        assert exact == (r**k == n)
+
+    @settings(deadline=None)
+    @given(
+        root_degrees.flatmap(
+            lambda k: st.tuples(st.integers(min_value=2, max_value=2 ** (30000 // k)), st.just(k))
+        )
+    )
+    def test_boundaries(self, r_k):
+        r, k = r_k
+        assert integer_nth_root(r**k - 1, k) == (r - 1, False)
+        assert integer_nth_root(r**k, k) == (r, True)
+        assert integer_nth_root(r**k + 1, k) == (r, False)
+
+    def test_tiny_root_of_high_degree(self):
+        start = time.perf_counter()
+        assert integer_nth_root(2 * 3**1001, 1001) == (3, False)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIsSquare:

@@ -3,6 +3,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from radreduce import exprtree as et
@@ -20,7 +22,7 @@ from radreduce.numeric import (
     verify_root_map,
     zeta_two_ways,
 )
-from radreduce.reduction import construct_example, reduce_radical
+from radreduce.reduction import ReductionError, construct_example, reduce_radical
 
 F = Fraction
 
@@ -53,6 +55,39 @@ class TestEvalExpression:
     def test_mul_add(self):
         tree = et.mul(et.rat(3), et.add(et.rat(1), et.rat(F(1, 3))))
         assert eval_expression(tree, 128) == 4
+
+
+class TestRealRoot:
+    """Real square and odd roots through the integer floor-root kernel."""
+
+    @pytest.mark.parametrize("bits", [64, 256, 2048])
+    @pytest.mark.parametrize(
+        "x,n",
+        [
+            (x, n)
+            for n in (2, 3, 5, 7, 13)
+            for x in (F(2), F(-7, 3), F(10**300 + 1), F(1, 10**300))
+            if n > 2 or x > 0
+        ],
+    )
+    def test_relative_residual(self, x, n, bits):
+        node = et.Sqrt(et.rat(x)) if n == 2 else et.NthRoot(et.rat(x), n)
+        r = mpf_to_fraction(eval_expression(node, bits))
+        assert abs(r**n - x) < abs(x) / 2 ** (bits + 16)
+
+    def test_square_root_of_negative_raises(self):
+        with pytest.raises(EvalDomainError):
+            numeric._real_root(mpf(-2), 2)
+
+    @pytest.mark.parametrize("n", [3, 5, 13])
+    def test_wrong_kernel_root_fails_the_residual_check(self, monkeypatch, n):
+        # A floor root 2^8 times too large must not pass as the n-th root.
+        real = numeric.integer_nth_root
+        monkeypatch.setattr(
+            numeric, "integer_nth_root", lambda N, k: (real(N, k)[0] << 8, False)
+        )
+        with mp.workprec(256), pytest.raises(PrecisionError, match="residual"):
+            numeric._real_root(mpf(2), n)
 
 
 class TestDualPrecision:
@@ -136,6 +171,27 @@ class TestBranchResiduals:
         assert [sum(node is tree for node in top_level) for tree in r.branches] == [2, 2]
 
 
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7, 9, 11, 13]),
+        st.sampled_from([D for D in range(-12, 13) if D]),
+        st.integers(min_value=-6, max_value=6),
+        st.sampled_from([64, 256, 1024]),
+    )
+    def test_constructed_instances(self, p, D, u, bits):
+        try:
+            params, _ = construct_example(p, D, u)
+        except ReductionError:
+            assume(False)
+        assume(params.R > 0)
+        result = reduce_radical(p, params.d, params.R)
+        assume(result.branches is not None)
+        res = branch_residuals(result, bits)
+        scale = max(1, params.d**2, abs(params.R))
+        assert res["max_residual"] < scale / 2 ** (bits - 56)
+        assert res["branch_signs_consistent"]
+
+
 class TestZetaTwoWays:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_routes_agree(self, p):
@@ -143,6 +199,14 @@ class TestZetaTwoWays:
         assert diff < F(1, 2**240)
         with mp.workprec(300):
             assert abs(newton**p - 1) < TWO**-250
+
+    @pytest.mark.parametrize("bits", [1024, 2048])
+    @pytest.mark.parametrize("p", [3, 13])
+    def test_routes_agree_at_high_precision(self, p, bits):
+        newton, series, diff = zeta_two_ways(p, bits)
+        assert diff < F(1, 2 ** (bits - 16))
+        with mp.workprec(bits + 44):
+            assert abs(newton**p - 1) < TWO ** -(bits - 6)
 
 
 class TestRootMap:
