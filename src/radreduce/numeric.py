@@ -6,8 +6,9 @@ taken from one integer floor-root kernel (`exactnum.integer_nth_root`, and
 Error control is by dual-precision agreement: every published value is
 computed once at B and once at 2B bits, and one gate accepts the pair only if
 they agree to 2^-(B - 16) relative to the 2B value; disagreement raises,
-never passes silently.  Branch residuals and signs are read off the same two
-values.
+never passes silently.  The gate compares real and complex values alike as
+(re, im) integer pairs at the fixed scale 2^(2B + 32).  Branch residuals and
+signs are read off the same two values.
 
 The root-map check computes one complex zero y of Z^p - (d + sqrt(R)), forms
 the p scaled conjugate sums u_k = z^((p-1)/2) (y zeta^k + y' zeta^-k) with a
@@ -16,13 +17,16 @@ the trace polynomial.  When d < 0 < R the sum d + sqrt(R) would cancel, so it
 is taken in the norm form D / (d - sqrt(R)), equal to it because
 (d + sqrt(R))(d - sqrt(R)) = D, whose denominator adds two terms of one sign.
 zeta itself is computed two independent ways (Newton on w^p - 1 at doubling
-precision versus high-precision cosine/sine) and cross-checked.
+precision, in Gaussian fixed point, versus mpmath cosine/sine) and
+cross-checked.  mpmath forms the u_k, keeping relative precision where y and
+y' differ by hundreds of bits; the checks on them run in Gaussian fixed point.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from mpmath import mp, mpc, mpf
 
@@ -121,16 +125,41 @@ def eval_expression(tree: et.Expr, bits: int = DEFAULT_BITS):
         return _eval(tree)
 
 
+def _fixed(x, prec: int) -> tuple[int, int]:
+    """(re, im) of a finite mpf or mpc as floor(x 2^prec) integers, read off
+    the mantissas and exponents with no mpmath arithmetic."""
+    parts = x._mpc_ if isinstance(x, mpc) else (x._mpf_, (0, 0, 0, 0))
+    out = []
+    for sign, man, exp, bc in parts:
+        if bc < 0:
+            raise ValueError(f"non-finite value {x}")
+        man, shift = -man if sign else man, exp + prec
+        out.append(man << shift if shift >= 0 else man >> -shift)
+    return out[0], out[1]
+
+
+def _gauss_pow(w: tuple[int, int], n: int, q: int) -> tuple[int, int]:
+    """w^n (n >= 1) for a Gaussian fixed-point value w = (re, im) at scale 2^q."""
+    a, b = w
+    for _ in range(n - 1):
+        a, b = (a * w[0] - b * w[1]) >> q, (a * w[1] + b * w[0]) >> q
+    return a, b
+
+
 def _check_agreement(low, high, bits: int) -> None:
-    """The dual-precision gate: raise PrecisionError unless the values computed
-    at `bits` and `2*bits` agree to 2^-(bits - 16) * (1 + |high|)."""
-    with mp.workprec(2 * bits + _GUARD):
-        tol = mpf(2) ** (-(bits - AGREEMENT_MARGIN_BITS)) * (1 + abs(high))
-        if abs(low - high) > tol:
-            raise PrecisionError(
-                f"precision-{bits} and precision-{2 * bits} values disagree: "
-                f"{low} vs {high}"
-            )
+    """The dual-precision gate for real and complex pairs: raise PrecisionError
+    unless the values computed at `bits` and `2*bits` agree to
+    2^-(bits - 16) * (1 + |high|), compared in integers at scale 2^(2 bits + 32)."""
+    prec = 2 * bits + _GUARD
+    lo, hi = _fixed(low, prec), _fixed(high, prec)
+    dist2 = (lo[0] - hi[0]) ** 2 + (lo[1] - hi[1]) ** 2
+    bound = (1 << prec) + math.isqrt(hi[0] ** 2 + hi[1] ** 2)
+    # Both sides times 2^32, so that bits < 16 needs no negative shift.
+    if dist2 << 2 * bits > bound * bound << 2 * AGREEMENT_MARGIN_BITS:
+        raise PrecisionError(
+            f"precision-{bits} and precision-{2 * bits} values disagree: "
+            f"{low} vs {high}"
+        )
 
 
 def eval_dual(tree: et.Expr, bits: int = DEFAULT_BITS):
@@ -181,39 +210,49 @@ def branch_residuals(result, bits: int = DEFAULT_BITS) -> dict:
 def zeta_two_ways(p: int, bits: int = DEFAULT_BITS):
     """Primitive p-th root of unity by two independent routes.
 
-    zeta is complex, so unlike the real roots it does not come from the one
-    integer floor-root kernel.  Newton on w^p - 1 from a 53-bit seed runs at
-    doubling precision, then at full precision until the step converges,
-    versus cosine/sine at full precision.  Raises PrecisionError if they
-    disagree beyond 2^-(bits-16).
+    Newton on w^p - 1 runs on Gaussian fixed-point integers at scale 2^prec,
+    prec = bits + 32, from a 53-bit seed by stdlib `math.cos`/`math.sin`: one
+    step per rung of a doubling precision ladder, then at full precision until
+    the step converges; its residual |w^p - 1| must be at most 2^-(prec - 16).
+    The other route is mpmath cosine/sine.  Compared in integers, they raise
+    PrecisionError if they disagree beyond 2^-(bits - 16).
     """
-    with mp.workprec(bits + _GUARD):
-        with mp.workprec(53):
-            angle = 2 * mp.pi / p
-            w = mpc(mp.cos(angle), mp.sin(angle))
-        # Each step doubles the correct bits, so it runs at about twice the
-        # precision its input is good to.
-        rungs = [mp.prec]
-        while rungs[-1] > 128:
-            rungs.append(rungs[-1] // 2 + 8)
-        eps = mpf(2) ** (-(mp.prec - 8))
-        for prec in rungs[:0:-1] + [mp.prec] * 64:
-            with mp.workprec(prec):
-                power = w ** (p - 1)
-                step = (power * w - 1) / (p * power)
-                w = w - step
-            if prec == mp.prec and abs(step) <= abs(w) * eps:
-                break
-        if abs(w**p - 1) > mpf(2) ** (-(mp.prec - 16)):
-            raise PrecisionError("root-of-unity Newton iteration failed to converge")
+    prec = bits + _GUARD
+    angle = 2 * math.pi / p
+    q = min(53, prec)
+    w = (round(math.cos(angle) * 2**q), round(math.sin(angle) * 2**q))
+    # Each step doubles the correct bits, so it runs at about twice the
+    # precision its input is good to.
+    rungs = [prec]
+    while rungs[-1] > 128:
+        rungs.append(rungs[-1] // 2 + 8)
+    for rung in rungs[:0:-1] + [prec] * 64:
+        w, q = (w[0] << rung - q, w[1] << rung - q), rung
+        power = _gauss_pow(w, p - 1, q)
+        num_re = ((power[0] * w[0] - power[1] * w[1]) >> q) - (1 << q)
+        num_im = (power[0] * w[1] + power[1] * w[0]) >> q
+        den = p * (power[0] ** 2 + power[1] ** 2)
+        # (w^p - 1) / (p w^(p-1)), multiplied through by conj(w^(p-1)).
+        sr = ((num_re * power[0] + num_im * power[1]) << q) // den
+        si = ((num_im * power[0] - num_re * power[1]) << q) // den
+        w = (w[0] - sr, w[1] - si)
+        if q == prec and (sr * sr + si * si) << 2 * (prec - 8) <= w[0] ** 2 + w[1] ** 2:
+            break
+    resid = _gauss_pow(w, p, prec)
+    if (resid[0] - (1 << prec)) ** 2 + resid[1] ** 2 > 1 << 32:
+        raise PrecisionError("root-of-unity Newton iteration failed to converge")
+    with mp.workprec(prec):
         angle = 2 * mp.pi / p
         series = mpc(mp.cos(angle), mp.sin(angle))
-        diff = abs(w - series)
-        if diff > mpf(2) ** (-(bits - AGREEMENT_MARGIN_BITS)):
-            raise PrecisionError(
-                f"root-of-unity routes disagree by {diff} at {bits} bits"
-            )
-    return w, series, mpf_to_fraction(diff)
+        newton = mpc(mpf((w[0], -prec)), mpf((w[1], -prec)))
+    s = _fixed(series, prec)
+    dist2 = (w[0] - s[0]) ** 2 + (w[1] - s[1]) ** 2
+    diff = Fraction(math.isqrt(dist2), 1 << prec)
+    if dist2 > 1 << 2 * (prec - bits + AGREEMENT_MARGIN_BITS):
+        raise PrecisionError(
+            f"root-of-unity routes disagree by {float(diff):.6g} at {bits} bits"
+        )
+    return newton, series, diff
 
 
 def _root_map_once(params: InstanceParams, bits: int) -> list:
@@ -252,6 +291,8 @@ def verify_root_map(p: int, d, R, bits: int = DEFAULT_BITS, tol_exp: int | None 
     """Check that the p scaled conjugate sums are p distinct zeros of the
     trace polynomial (numerically, at two precisions).
 
+    After the B/2B gate the checks run on the 2B values and f's floored
+    coefficients as Gaussian fixed-point integers at scale 2^(2 bits + 32).
     Relative residual tolerance defaults to 2^-(bits - 56); the residual is
     scaled by sum_i |c_i| max(1, |u|)^i.  Limited to p <= ROOT_MAP_MAX_P:
     the check is O(p^2) at high precision.
@@ -260,45 +301,43 @@ def verify_root_map(p: int, d, R, bits: int = DEFAULT_BITS, tol_exp: int | None 
         raise ValueError(f"p = {p} exceeds ROOT_MAP_MAX_P = {ROOT_MAP_MAX_P}")
     params = InstanceParams.create(p, d, R)
     f = trace_poly(params)
-    tol_e = tolerance_exp(bits, tol_exp)
+    tol = Fraction(1, 2 ** tolerance_exp(bits, tol_exp))
 
     u_low = _root_map_once(params, bits)
     u_high = _root_map_once(params, 2 * bits)
     for lo, hi in zip(u_low, u_high):
         _check_agreement(lo, hi, bits)
 
-    with mp.workprec(2 * bits + _GUARD):
-        tol = mpf(2) ** (-tol_e)
-        f_num = f.map(_from_fraction)
-        abs_coeffs = [abs(c) for c in f_num.coeffs]
-        max_rel = mpf(0)
-        for u in u_high:
-            mag = max(mpf(1), abs(u))
-            scale = mpf(0)
-            for c in reversed(abs_coeffs):
-                scale = scale * mag + c
-            rel = abs(f_num.evaluate(u)) / scale
-            max_rel = max(max_rel, rel)
+    prec = 2 * bits + _GUARD
+    one = 1 << prec
+    us = [_fixed(u, prec) for u in u_high]
+    coeffs = [(c.numerator << prec) // c.denominator for c in f.coeffs]
+    max_rel = Fraction(0)
+    for ur, ui in us:
+        mag = max(one, math.isqrt(ur * ur + ui * ui))
+        fr, fi, scale = coeffs[-1], 0, abs(coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            fr, fi = ((fr * ur - fi * ui) >> prec) + c, (fr * ui + fi * ur) >> prec
+            scale = (scale * mag >> prec) + abs(c)
+        max_rel = max(max_rel, Fraction(math.isqrt(fr * fr + fi * fi) + 1, scale))
 
-        diffs = (u_high[i] - u_high[j] for i in range(p) for j in range(i + 1, p))
-        min_dist = mp.sqrt(min(w.real * w.real + w.imag * w.imag for w in diffs))
-        distinct = min_dist > mpf(2) ** (-(bits // 2))
-        value_strs = [mp.nstr(u, 30) for u in u_high]
-        # Every rational zero of f must appear among the u_k.
-        root_dists = {
-            str(r): mpf_to_fraction(
-                min(abs(u - _from_fraction(r)) for u in u_high)
-            )
-            for r in sorted(rational_roots(f))
-        }
+    min_dist2 = min((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 for a, b in combinations(us, 2))
+    distinct = min_dist2 > 1 << 2 * (prec - bits // 2)
+    # Every rational zero of f must appear among the u_k.
+    root_dists = {}
+    for r in sorted(rational_roots(f)):
+        rf = (r.numerator << prec) // r.denominator
+        root_dists[str(r)] = Fraction(
+            math.isqrt(min((ur - rf) ** 2 + ui * ui for ur, ui in us)), one
+        )
 
     return {
         "p": p,
-        "values": value_strs,
-        "max_relative_residual": mpf_to_fraction(max_rel),
-        "tolerance": Fraction(1, 2**tol_e),
-        "min_pairwise_distance": mpf_to_fraction(min_dist),
-        "distinct": bool(distinct),
+        "values": [mp.nstr(u, 30) for u in u_high],
+        "max_relative_residual": max_rel,
+        "tolerance": tol,
+        "min_pairwise_distance": Fraction(math.isqrt(min_dist2), one),
+        "distinct": distinct,
         "rational_root_distances": root_dists,
-        "ok": bool(distinct and max_rel < tol),
+        "ok": distinct and max_rel < tol,
     }

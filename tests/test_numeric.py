@@ -1,15 +1,19 @@
 import dataclasses
 import hashlib
+import math
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf, mpmathify
 
 from radreduce import exprtree as et
 from radreduce import numeric
 from radreduce.cli import main
+from radreduce.construct import InstanceParams, trace_poly
+from radreduce.exactnum import FactorizationError, tolerance_exp
 from radreduce.numeric import (
     EvalDomainError,
     PrecisionError,
@@ -22,6 +26,7 @@ from radreduce.numeric import (
     verify_root_map,
     zeta_two_ways,
 )
+from radreduce.poly import rational_roots
 from radreduce.reduction import ReductionError, construct_example, reduce_radical
 
 F = Fraction
@@ -208,6 +213,39 @@ class TestZetaTwoWays:
         with mp.workprec(bits + 44):
             assert abs(newton**p - 1) < TWO ** -(bits - 6)
 
+    @pytest.mark.parametrize("p", range(3, 14))
+    def test_routes_agree_without_the_ladder(self, p):
+        # At 64 + 32 bits there is no ladder: every step runs at full precision.
+        newton, series, diff = zeta_two_ways(p, 64)
+        assert diff < F(1, 2**48)
+        with mp.workprec(128):
+            assert abs(newton**p - 1) < TWO**-80
+            assert abs(newton - mp.expjpi(mpf(2) / p)) < TWO**-80
+
+    @pytest.mark.parametrize("factor,raises", [(F(17, 16), True), (F(15, 16), False)])
+    def test_disagreement_threshold(self, monkeypatch, factor, raises):
+        # Move the cosine route by factor * 2^-(B - 16): the routes must
+        # then disagree exactly when the factor is above 1.
+        offset = mpf(factor.numerator) / factor.denominator * TWO**-240
+        fake_mp = types.SimpleNamespace(
+            workprec=mp.workprec, pi=mp.pi, sin=mp.sin, cos=lambda x: mp.cos(x) + offset
+        )
+        monkeypatch.setattr(numeric, "mp", fake_mp)
+        if raises:
+            with pytest.raises(PrecisionError, match="disagree"):
+                zeta_two_ways(7, 256)
+        else:
+            assert abs(zeta_two_ways(7, 256)[2] - factor / 2**240) < F(1, 2**280)
+
+    @pytest.mark.parametrize("p", [3, 7, 13])
+    def test_newton_on_zeta_squared_disagrees(self, monkeypatch, p):
+        # A seed at angle 4 pi / p makes Newton converge to zeta^2, also a
+        # root of w^p - 1: only the cosine/sine route can catch it.
+        doubled = {"cos": lambda x: math.cos(2 * x), "sin": lambda x: math.sin(2 * x)}
+        monkeypatch.setattr(numeric, "math", types.SimpleNamespace(**{**vars(math), **doubled}))
+        with pytest.raises(PrecisionError, match="disagree"):
+            zeta_two_ways(p, 256)
+
 
 class TestRootMap:
     def test_cubic_values_are_roots_of_the_trace_poly(self):
@@ -259,6 +297,107 @@ class TestRootMap:
         assert rep["ok"]
         assert rep["max_relative_residual"] < F(1, 2 ** (512 - 56))
 
+    @pytest.mark.parametrize("args", [(7, -2158, 4656966), (3, -7, 50), (5, 2, 5)])
+    def test_values_off_the_zeros_fail_the_residual(self, monkeypatch, args):
+        # The same shift of 2^-(B - 64) (1 + |u|) at B and 2B passes the gate,
+        # but puts every value 2^8 times the residual tolerance off its zero.
+        B = 256
+        real = numeric._root_map_once
+
+        def shifted(params, bits):
+            with mp.workprec(2 * bits + 64):
+                return [u + TWO ** -(B - 64) * (1 + abs(u)) for u in real(params, bits)]
+
+        monkeypatch.setattr(numeric, "_root_map_once", shifted)
+        rep = verify_root_map(*args, B)
+        assert rep["distinct"] and not rep["ok"]
+        assert rep["max_relative_residual"] > rep["tolerance"]
+
+    def test_repeated_value_is_not_distinct(self, monkeypatch):
+        real = numeric._root_map_once
+
+        def repeated(params, bits):
+            out = real(params, bits)
+            out[1] = out[0]
+            return out
+
+        monkeypatch.setattr(numeric, "_root_map_once", repeated)
+        rep = verify_root_map(7, -2158, 4656966, 256)
+        assert not rep["distinct"] and not rep["ok"]
+        assert rep["min_pairwise_distance"] == 0
+
+
+def _root_map_oracle(p, d, R, bits):
+    """verify_root_map's gate and checks as mpmath arithmetic, the way they
+    ran before they moved to Gaussian fixed-point integers, on the same
+    B and 2B values."""
+    params = InstanceParams.create(p, d, R)
+    f = trace_poly(params)
+    u_low = numeric._root_map_once(params, bits)
+    u_high = numeric._root_map_once(params, 2 * bits)
+    with mp.workprec(2 * bits + 32):
+        for lo, hi in zip(u_low, u_high):
+            if abs(lo - hi) > TWO ** -(bits - 16) * (1 + abs(hi)):
+                raise PrecisionError("disagree")
+        tol = TWO ** -tolerance_exp(bits)
+        f_num = f.map(numeric._from_fraction)
+        abs_coeffs = [abs(c) for c in f_num.coeffs]
+        max_rel = mpf(0)
+        for u in u_high:
+            mag = max(mpf(1), abs(u))
+            scale = mpf(0)
+            for c in reversed(abs_coeffs):
+                scale = scale * mag + c
+            max_rel = max(max_rel, abs(f_num.evaluate(u)) / scale)
+        diffs = (u_high[i] - u_high[j] for i in range(p) for j in range(i + 1, p))
+        min_dist = mp.sqrt(min(w.real * w.real + w.imag * w.imag for w in diffs))
+        distinct = min_dist > TWO ** -(bits // 2)
+        return {
+            "values": [mp.nstr(u, 30) for u in u_high],
+            "min_pairwise_distance": mpf_to_fraction(min_dist),
+            "distinct": bool(distinct),
+            "rational_root_distances": {
+                str(r): mpf_to_fraction(min(abs(u - numeric._from_fraction(r)) for u in u_high))
+                for r in sorted(rational_roots(f))
+            },
+            "ok": bool(distinct and max_rel < tol),
+        }
+
+
+class TestRootMapAgainstMpmathOracle:
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7, 9, 11, 13]),
+        st.sampled_from([D for D in range(-12, 13) if D]),
+        st.integers(min_value=-6, max_value=6),
+        st.sampled_from([256, 512]),
+    )
+    def test_same_verdicts(self, p, D, u, bits):
+        # D < 0 forces R > 0; D > 0 with |u| < 2 sqrt(D) gives R < 0.
+        try:
+            params, _ = construct_example(p, D, u)
+        except ReductionError:
+            assume(False)
+        args = (p, params.d, params.R, bits)
+        try:
+            want = _root_map_oracle(*args)
+        except (PrecisionError, FactorizationError) as exc:
+            with pytest.raises(type(exc)):
+                verify_root_map(*args)
+            return
+        got = verify_root_map(*args)
+        for key in ("ok", "distinct"):
+            assert got[key] == want[key]
+        assert got["rational_root_distances"].keys() == want["rational_root_distances"].keys()
+        for r, dist in want["rational_root_distances"].items():
+            assert abs(got["rational_root_distances"][r] - dist) <= F(1, 2 ** (2 * bits))
+        want_dist = want["min_pairwise_distance"]
+        assert abs(got["min_pairwise_distance"] - want_dist) <= want_dist / 2 ** (bits - 8)
+        with mp.workprec(256):
+            for g, w in zip(got["values"], want["values"], strict=True):
+                g, w = (mpmathify(v.strip("()").replace(" ", "")) for v in (g, w))
+                assert abs(g - w) <= mpf(10) ** -28 * max(1, abs(w))
+
 
 class TestHelpers:
     def test_mpf_to_fraction_exact(self):
@@ -295,6 +434,32 @@ def _perturb_2b(monkeypatch, name, shift):
         return [nudge(v) for v in out] if isinstance(out, list) else nudge(out)
 
     monkeypatch.setattr(numeric, name, perturbed)
+
+
+class TestCheckAgreement:
+    """The one B/2B gate, called directly: a difference of
+    2^-(B - 16) (1 + |high|) times 1 + 2^-4 raises, times 1 - 2^-4 passes."""
+
+    @pytest.mark.parametrize("factor,raises", [(F(17, 16), True), (F(15, 16), False)])
+    @pytest.mark.parametrize("magnitude", [F(0), F(1), F(2**100), F(1, 2**300)])
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_threshold(self, kind, bits, magnitude, factor, raises):
+        gap = F(1, 2 ** (bits - 16)) * (1 + magnitude) * factor
+        to_mpf = numeric._from_fraction
+        with mp.workprec(4 * bits + 1024):
+            if kind == "real":
+                high = to_mpf(magnitude)
+                low = high - to_mpf(gap)
+            else:
+                # |high| = magnitude along (3 + 4i)/5; the gap at right angles.
+                high = mpc(to_mpf(magnitude * F(3, 5)), to_mpf(magnitude * F(4, 5)))
+                low = high + mpc(to_mpf(-gap * F(4, 5)), to_mpf(gap * F(3, 5)))
+        if raises:
+            with pytest.raises(PrecisionError, match="disagree"):
+                numeric._check_agreement(low, high, bits)
+        else:
+            numeric._check_agreement(low, high, bits)
 
 
 class TestAgreementGate:
