@@ -18,8 +18,7 @@ JSON output is byte-deterministic for identical inputs.  Exit codes: 0 ok,
 1 verification failure, 2 usage or domain error.
 
 Each subcommand imports the modules it runs when it runs, so a process loads
-only what its command needs; mpmath is loaded only by `reduce --numeric` and
-`selftest`.
+only what its command needs; none loads mpmath.
 """
 
 from __future__ import annotations
@@ -325,9 +324,6 @@ def _matches_golden(call: tuple, obj: dict) -> bool:
 
 def _selftest_checks(bits: int, tol_exp: int | None) -> list[dict]:
     from . import reduction
-
-    # mpmath after the exact modules: without a bytecode cache, compiling them
-    # on top of mpmath's heap raises the peak RSS of the process.
     from .numeric import branch_residuals, decimal_str
 
     # Each golden call runs once, in table order.

@@ -11,7 +11,7 @@ and, for the rational-root search, integer factorization and divisor lists.
 
 It also holds the precision defaults and `PrecisionError` of the numeric
 checks, so that the command line can parse and report them without importing
-`numeric` and with it mpmath.
+`numeric`.
 
 ``QuadExt`` represents an element a + b*sqrt(R) of the quadratic extension
 Q(sqrt(R)) for a fixed non-square R, with exact componentwise arithmetic.
@@ -53,7 +53,9 @@ def tolerance_exp(bits: int, tol_exp: int | None = None) -> int:
 
 
 class PrecisionError(ArithmeticError):
-    """Results at precisions B and 2B disagree beyond tolerance."""
+    """A numeric result is undecided at the working precision: an enclosure
+    too wide or holding 0 where a sign is needed, or B and 2B values that
+    disagree beyond tolerance."""
 
 
 class FactorizationError(ValueError):

@@ -1,5 +1,6 @@
 """What a fresh process imports: each subcommand loads only what it runs, and
-mpmath only on the numeric paths; the package namespace resolves lazily."""
+no CLI command loads mpmath (only the library's root map and `eval_dual` do);
+the package namespace resolves lazily."""
 
 import json
 import os
@@ -62,8 +63,10 @@ def test_exact_commands_do_not_load_mpmath(argv):
 
 
 @pytest.mark.parametrize("argv", NUMERIC.values(), ids=NUMERIC.keys())
-def test_numeric_commands_load_mpmath(argv):
-    assert "mpmath" in loaded_modules(argv)
+def test_numeric_commands_do_not_load_mpmath(argv):
+    loaded = loaded_modules(argv)
+    assert "radreduce.numeric" in loaded
+    assert "mpmath" not in loaded
 
 
 def test_coeffs_loads_only_its_modules():

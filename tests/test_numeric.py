@@ -4,6 +4,7 @@ import math
 import types
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,13 +16,13 @@ from radreduce.cli import main
 from radreduce.construct import InstanceParams, trace_poly
 from radreduce.exactnum import FactorizationError, tolerance_exp
 from radreduce.numeric import (
+    ROOT_MAP_MAX_P,
     EvalDomainError,
     PrecisionError,
     branch_residuals,
     decimal_str,
     eval_dual,
     eval_expression,
-    mpf_to_fraction,
     root_map_values,
     verify_root_map,
     zeta_two_ways,
@@ -34,32 +35,102 @@ F = Fraction
 TWO = mpf(2)
 
 
+def to_mpf(q: Fraction):
+    """q at the ambient mpmath precision."""
+    return mpf(q.numerator) / q.denominator
+
+
+def to_fraction(x) -> Fraction:
+    """Exact rational value of a finite mpf."""
+    sign, man, exp, _ = x._mpf_
+    value = Fraction(man) * Fraction(2) ** exp
+    return -value if sign else value
+
+
+def midpoint(ball) -> Fraction:
+    m, _, e = ball
+    return Fraction(m) * Fraction(2) ** e
+
+
+def radius(ball) -> Fraction:
+    _, r, e = ball
+    return Fraction(r) * Fraction(2) ** e
+
+
+def mp_eval(node):
+    """mpmath value of a tree at the ambient precision: the oracle."""
+    if isinstance(node, et.Rat):
+        return to_mpf(node.value)
+    if isinstance(node, et.Sqrt):
+        return mp.sqrt(mp_eval(node.arg))
+    if isinstance(node, et.NthRoot):
+        x = mp_eval(node.arg)
+        return mp.sign(x) * mp.root(abs(x), node.degree)
+    if isinstance(node, et.Add):
+        return mp.fsum(mp_eval(t) for t in node.terms)
+    if isinstance(node, et.Mul):
+        return mp.fprod(mp_eval(f) for f in node.factors)
+    if isinstance(node, et.Pow):
+        return mp_eval(node.base) ** node.exponent
+    raise TypeError(node)
+
+
+def assert_encloses(ball, tree, bits):
+    """The ball holds mpmath's value of the tree at 4 * bits."""
+    with mp.workprec(4 * bits):
+        truth = mp_eval(tree)
+        gap = abs(to_mpf(midpoint(ball)) - truth)
+        assert gap <= to_mpf(radius(ball)) + abs(truth) * TWO ** -(3 * bits), (tree, bits)
+
+
 class TestEvalExpression:
+    """eval_expression returns a ball (m, r, e): [(m - r) 2^e, (m + r) 2^e]."""
+
     def test_rational_leaf_is_exact_dyadic(self):
-        assert eval_expression(et.rat(F(7, 2)), 256) == 3.5
+        ball = eval_expression(et.rat(F(7, 2)), 256)
+        assert midpoint(ball) == F(7, 2) and ball[1] == 0
 
     def test_sqrt(self):
-        v = eval_expression(et.Sqrt(et.rat(2)), 256)
-        with mp.workprec(300):
-            assert abs(v * v - 2) < TWO**-250
+        tree = et.Sqrt(et.rat(2))
+        ball = eval_expression(tree, 256)
+        assert_encloses(ball, tree, 256)
+        assert radius(ball) < F(1, 2**280)
 
     def test_nth_root_of_negative(self):
-        v = eval_expression(et.NthRoot(et.rat(-2), 7), 256)
-        assert v < 0
-        with mp.workprec(300):
-            assert abs(v**7 + 2) < TWO**-250
+        tree = et.NthRoot(et.rat(-2), 7)
+        ball = eval_expression(tree, 256)
+        assert ball[0] < 0
+        assert_encloses(ball, tree, 256)
 
     def test_even_root_of_negative_raises(self):
         with pytest.raises(EvalDomainError):
             eval_expression(et.Sqrt(et.rat(-1)), 128)
 
     def test_negative_power(self):
-        v = eval_expression(et.Pow(et.rat(2), -3), 128)
-        assert v == 0.125
+        ball = eval_expression(et.Pow(et.rat(2), -3), 128)
+        assert midpoint(ball) == F(1, 8) and ball[1] == 0
 
     def test_mul_add(self):
         tree = et.mul(et.rat(3), et.add(et.rat(1), et.rat(F(1, 3))))
-        assert eval_expression(tree, 128) == 4
+        ball = eval_expression(tree, 128)
+        assert abs(midpoint(ball) - 4) <= radius(ball) < F(1, 2**150)
+
+    def test_zero_base_with_negative_exponent_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            eval_expression(et.Pow(et.add(et.rat(1), et.rat(-1)), -2), 128)
+
+    def test_enclosure_holding_zero_is_undecided(self):
+        # 2^-200 (2 + sqrt 2) - 2^-199 - sqrt(2) 2^-200 is 0, but its ball only
+        # holds 0: a root or a reciprocal of it must not guess a sign.
+        tiny, root2 = et.rat(F(1, 2**200)), et.Sqrt(et.rat(2))
+        zero = et.add(
+            et.mul(tiny, et.add(et.rat(2), root2)),
+            et.rat(F(-1, 2**199)),
+            et.mul(et.rat(-1), tiny, root2),
+        )
+        for tree in (et.NthRoot(zero, 3), et.Pow(zero, -1)):
+            with pytest.raises(PrecisionError):
+                eval_expression(tree, 64)
 
 
 class TestRealRoot:
@@ -77,22 +148,16 @@ class TestRealRoot:
     )
     def test_relative_residual(self, x, n, bits):
         node = et.Sqrt(et.rat(x)) if n == 2 else et.NthRoot(et.rat(x), n)
-        r = mpf_to_fraction(eval_expression(node, bits))
+        ball = eval_expression(node, bits)
+        r = midpoint(ball)
         assert abs(r**n - x) < abs(x) / 2 ** (bits + 16)
+        # Both ends of the ball straddle the root: the enclosure holds it.
+        lo, hi = sorted((r - radius(ball), r + radius(ball)), key=lambda v: v**n)
+        assert lo**n <= x <= hi**n
 
     def test_square_root_of_negative_raises(self):
         with pytest.raises(EvalDomainError):
-            numeric._real_root(mpf(-2), 2)
-
-    @pytest.mark.parametrize("n", [3, 5, 13])
-    def test_wrong_kernel_root_fails_the_residual_check(self, monkeypatch, n):
-        # A floor root 2^8 times too large must not pass as the n-th root.
-        real = numeric.integer_nth_root
-        monkeypatch.setattr(
-            numeric, "integer_nth_root", lambda N, k: (real(N, k)[0] << 8, False)
-        )
-        with mp.workprec(256), pytest.raises(PrecisionError, match="residual"):
-            numeric._real_root(mpf(2), n)
+            numeric._root(numeric._leaf(F(-2), 96), 2, 96)
 
 
 class TestDualPrecision:
@@ -116,8 +181,8 @@ class TestDualPrecision:
 
     def test_doubling_precision_is_stable(self):
         tree = et.Sqrt(et.add(et.rat(3), et.Sqrt(et.rat(5))))
-        v256 = eval_expression(tree, 256)
-        v512 = eval_expression(tree, 512)
+        v256 = eval_dual(tree, 256)
+        v512 = eval_dual(tree, 512)
         with mp.workprec(600):
             assert abs(v256 - v512) < TWO**-240
 
@@ -162,18 +227,63 @@ class TestBranchResiduals:
                 assert abs(bv - qv) < TWO**-200
 
     def test_branch_residuals_evaluates_each_branch_once_per_precision(self, monkeypatch):
+        # One enclosure per branch and call, at the call's precision only.
         r = reduce_radical(7, -2158, 4656966)
-        real = numeric._eval
-        top_level = []
+        real = numeric.eval_expression
+        calls = []
 
-        def counting(node):
-            if any(node is tree for tree in r.branches):
-                top_level.append(node)
-            return real(node)
+        def counting(tree, bits):
+            calls.append((tree, bits))
+            return real(tree, bits)
 
-        monkeypatch.setattr(numeric, "_eval", counting)
+        monkeypatch.setattr(numeric, "eval_expression", counting)
         branch_residuals(r, 256)
-        assert [sum(node is tree for node in top_level) for tree in r.branches] == [2, 2]
+        assert [sum(t is tree for t, _ in calls) for tree in r.branches] == [1, 1]
+        assert {bits for _, bits in calls} == {256}
+
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    @pytest.mark.parametrize("args", [(7, -2158, 4656966), (3, -7, 50)])
+    def test_residual_bounds_every_point_of_the_enclosure(self, args, bits):
+        # The residual at the midpoint and at both ends of each branch's ball,
+        # in exact rationals, is at most the certified bound reported for it.
+        p, d, R = args
+        r = reduce_radical(p, d, R)
+        res = branch_residuals(r, bits)
+        for tree, bound in zip(r.branches, res["residuals"], strict=True):
+            ball = eval_expression(tree, bits)
+            for v in (midpoint(ball) + k * radius(ball) for k in (-1, 0, 1)):
+                assert abs((v**p - d) ** 2 - R) <= bound
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize(
+        "p,D,u", [(5, -2, -(2**20)), (3, -3, -(2**33)), (7, -2, -(2**14))]
+    )
+    def test_heavy_cancellation(self, p, D, u, bits):
+        # log2(d^2 / |D|) is about 190: the small branch cancels about 190 / p
+        # bits of center + A(u) sqrt(R).
+        params, _ = construct_example(p, D, u)
+        result = reduce_radical(p, params.d, params.R)
+        res = branch_residuals(result, bits)
+        scale = max(1, params.d**2, abs(params.R))
+        assert res["max_residual"] < scale / 2 ** (bits - 56)
+        assert res["branch_signs_consistent"]
+        for tree in result.branches:
+            assert_encloses(eval_expression(tree, bits), tree, bits)
+            eval_dual(tree, bits)
+
+    def test_undecided_sign_raises(self, monkeypatch):
+        # A branch ball wide enough to hold a v with v^p = d leaves the sign
+        # of v^p - d open.
+        r = reduce_radical(3, -7, 50)
+        real = numeric.eval_expression
+
+        def widened(tree, bits):
+            m, _, e = real(tree, bits)
+            return m, abs(m) * 2, e
+
+        monkeypatch.setattr(numeric, "eval_expression", widened)
+        with pytest.raises(PrecisionError, match="branch sign undecided"):
+            branch_residuals(r, 256)
 
 
     @settings(deadline=None)
@@ -195,6 +305,63 @@ class TestBranchResiduals:
         scale = max(1, params.d**2, abs(params.R))
         assert res["max_residual"] < scale / 2 ** (bits - 56)
         assert res["branch_signs_consistent"]
+
+
+def _trees(depth):
+    """Random trees of all six node kinds.  Square roots and negative powers
+    take x^2 + c with c > 0, so that their argument is positive and apart
+    from 0."""
+    leaf = st.builds(
+        lambda n, d: et.rat(F(n, d)),
+        st.integers(-(10**6), 10**6),
+        st.sampled_from([1, 2, 3, 7, 10**9 + 7, 2**40]),
+    )
+    if depth == 0:
+        return leaf
+    sub = _trees(depth - 1)
+    positive = st.builds(
+        lambda t, c: et.add(et.Pow(t, 2), et.rat(F(c, 8))), sub, st.integers(1, 64)
+    )
+    return st.one_of(
+        leaf,
+        st.builds(et.Sqrt, positive),
+        st.builds(et.NthRoot, sub, st.sampled_from([3, 5, 7])),
+        st.builds(lambda ts: et.Add(tuple(ts)), st.lists(sub, min_size=2, max_size=3)),
+        st.builds(lambda ts: et.Mul(tuple(ts)), st.lists(sub, min_size=2, max_size=3)),
+        st.builds(et.Pow, sub, st.integers(0, 4)),
+        st.builds(et.Pow, positive, st.integers(-4, -1)),
+    )
+
+
+def _positive_trees(depth):
+    """Random trees whose every node is positive: no cancellation anywhere."""
+    leaf = st.builds(
+        lambda n, d: et.rat(F(n, d)), st.integers(1, 10**6), st.sampled_from([1, 3, 2**40])
+    )
+    if depth == 0:
+        return leaf
+    sub = _positive_trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(et.Sqrt, sub),
+        st.builds(et.NthRoot, sub, st.sampled_from([3, 5, 7])),
+        st.builds(lambda ts: et.Add(tuple(ts)), st.lists(sub, min_size=2, max_size=3)),
+        st.builds(lambda ts: et.Mul(tuple(ts)), st.lists(sub, min_size=2, max_size=3)),
+        st.builds(et.Pow, sub, st.integers(-4, 4)),
+    )
+
+
+class TestEnclosures:
+    @settings(deadline=None, max_examples=300)
+    @given(_trees(3), st.sampled_from([64, 256, 1024]))
+    def test_ball_holds_the_value(self, tree, bits):
+        assert_encloses(eval_expression(tree, bits), tree, bits)
+
+    @settings(deadline=None, max_examples=200)
+    @given(_positive_trees(3), st.sampled_from([64, 256, 1024]))
+    def test_radius_is_tight_without_cancellation(self, tree, bits):
+        m, r, _ = eval_expression(tree, bits)
+        assert r << (bits + 8) <= abs(m)
 
 
 class TestZetaTwoWays:
@@ -230,7 +397,7 @@ class TestZetaTwoWays:
         fake_mp = types.SimpleNamespace(
             workprec=mp.workprec, pi=mp.pi, sin=mp.sin, cos=lambda x: mp.cos(x) + offset
         )
-        monkeypatch.setattr(numeric, "mp", fake_mp)
+        monkeypatch.setattr(mpmath, "mp", fake_mp)
         if raises:
             with pytest.raises(PrecisionError, match="disagree"):
                 zeta_two_ways(7, 256)
@@ -313,6 +480,29 @@ class TestRootMap:
         assert rep["distinct"] and not rep["ok"]
         assert rep["max_relative_residual"] > rep["tolerance"]
 
+    def test_real_zero_prints_with_zero_imaginary_part(self, monkeypatch):
+        # The rational zero 2 of f prints as exactly real, and no value string
+        # moves when only zeta's last bit does.
+        params, _ = construct_example(3, 6, 2)
+        args = (3, params.d, params.R, 256)
+        values = verify_root_map(*args)["values"]
+        assert "(2.0 + 0.0j)" in values
+        real = numeric.zeta_two_ways
+
+        def last_bit_flipped(p, bits):
+            newton, series, diff = real(p, bits)
+            with mp.workprec(bits + 64):
+                return newton + TWO ** -(bits + numeric._GUARD), series, diff
+
+        monkeypatch.setattr(numeric, "zeta_two_ways", last_bit_flipped)
+        assert verify_root_map(*args)["values"] == values
+
+    def test_p_cap(self):
+        params, _ = construct_example(ROOT_MAP_MAX_P, -5, 2)
+        assert verify_root_map(ROOT_MAP_MAX_P, params.d, params.R, 256)["ok"]
+        with pytest.raises(ValueError, match="ROOT_MAP_MAX_P"):
+            verify_root_map(ROOT_MAP_MAX_P + 2, -7, 50, 256)
+
     def test_repeated_value_is_not_distinct(self, monkeypatch):
         real = numeric._root_map_once
 
@@ -340,7 +530,7 @@ def _root_map_oracle(p, d, R, bits):
             if abs(lo - hi) > TWO ** -(bits - 16) * (1 + abs(hi)):
                 raise PrecisionError("disagree")
         tol = TWO ** -tolerance_exp(bits)
-        f_num = f.map(numeric._from_fraction)
+        f_num = f.map(to_mpf)
         abs_coeffs = [abs(c) for c in f_num.coeffs]
         max_rel = mpf(0)
         for u in u_high:
@@ -354,10 +544,10 @@ def _root_map_oracle(p, d, R, bits):
         distinct = min_dist > TWO ** -(bits // 2)
         return {
             "values": [mp.nstr(u, 30) for u in u_high],
-            "min_pairwise_distance": mpf_to_fraction(min_dist),
+            "min_pairwise_distance": to_fraction(min_dist),
             "distinct": bool(distinct),
             "rational_root_distances": {
-                str(r): mpf_to_fraction(min(abs(u - numeric._from_fraction(r)) for u in u_high))
+                str(r): to_fraction(min(abs(u - to_mpf(r)) for u in u_high))
                 for r in sorted(rational_roots(f))
             },
             "ok": bool(distinct and max_rel < tol),
@@ -400,14 +590,39 @@ class TestRootMapAgainstMpmathOracle:
 
 
 class TestHelpers:
-    def test_mpf_to_fraction_exact(self):
-        with mp.workprec(64):
-            assert mpf_to_fraction(mpf("0.25")) == F(1, 4)
-            assert mpf_to_fraction(mpf(-3)) == -3
-            assert mpf_to_fraction(mpf(0)) == 0
-
     def test_decimal_str(self):
         assert decimal_str(F(1, 4)) == "0.25"
+
+    @settings(max_examples=2000)
+    @given(
+        st.integers(-(2**64) + 1, 2**64 - 1),
+        st.integers(-1100, 1100),
+        st.sampled_from([20, 30, 6]),
+    )
+    def test_decimal_str_matches_nstr(self, man, exp, digits):
+        # A numerator of at most 64 bits is exact at nstr's 80-bit conversion
+        # (4 * digits bits for digits = 30), so nstr's digits are the value's.
+        q = F(man) * F(2) ** exp
+        with mp.workprec(max(80, 4 * digits)):
+            assert decimal_str(q, digits) == mp.nstr(to_mpf(q), digits)
+
+    @pytest.mark.parametrize(
+        "q,text",
+        [
+            (F(0), "0.0"),
+            (F(-3, 8), "-0.375"),
+            (F(1, 2**200), "6.2230152778611417071e-61"),
+            (F(10**20 - 1) / 10**20 * 2 - F(1, 10**21), "2.0"),
+            (F(999999999999999999995, 10**21), "1.0"),
+            (F(1, 10**6), "1.0e-6"),
+            (F(1, 10**5), "0.00001"),
+            (F(10**19), "10000000000000000000.0"),
+            (F(10**20), "1.0e+20"),
+            (F(1, 3**40000), "1.4119236522634404592e-19085"),
+        ],
+    )
+    def test_decimal_str_layout_and_rounding(self, q, text):
+        assert decimal_str(q) == text
 
 
 # The agreement gate accepts a B/2B pair when |low - high| <= 2^-(B - 16) (1 + |high|).
@@ -418,20 +633,17 @@ GATE_CASES = pytest.mark.parametrize(
 
 
 def _perturb_2b(monkeypatch, name, shift):
-    """Make numeric.<name>(arg, bits) move its 2B result(s) v by
+    """Make numeric.<name>(arg, bits) move its 2B values v by
     2^-(B - shift) (1 + |v|): 16 times the gate's tolerance for shift = 20,
     1/16 of it for shift = 12."""
     real = getattr(numeric, name)
-
-    def nudge(v):
-        with mp.workprec(2 * GATE_BITS + 64):
-            return v + TWO ** -(GATE_BITS - shift) * (1 + abs(v))
 
     def perturbed(arg, bits):
         out = real(arg, bits)
         if bits != 2 * GATE_BITS:
             return out
-        return [nudge(v) for v in out] if isinstance(out, list) else nudge(out)
+        with mp.workprec(2 * GATE_BITS + 64):
+            return [v + TWO ** -(GATE_BITS - shift) * (1 + abs(v)) for v in out]
 
     monkeypatch.setattr(numeric, name, perturbed)
 
@@ -446,7 +658,6 @@ class TestCheckAgreement:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_threshold(self, kind, bits, magnitude, factor, raises):
         gap = F(1, 2 ** (bits - 16)) * (1 + magnitude) * factor
-        to_mpf = numeric._from_fraction
         with mp.workprec(4 * bits + 1024):
             if kind == "real":
                 high = to_mpf(magnitude)
@@ -465,24 +676,22 @@ class TestCheckAgreement:
 class TestAgreementGate:
     @GATE_CASES
     def test_eval_dual(self, monkeypatch, shift, raises):
+        # eval_dual's bound is the gate's tolerance: widen the enclosure by
+        # 2^-(B - shift) (1 + |v|), 16 times it for shift = 20, 1/16 for 12.
         tree = et.Sqrt(et.rat(2))
-        expected = eval_expression(tree, GATE_BITS)
-        _perturb_2b(monkeypatch, "eval_expression", shift)
+        expected = eval_dual(tree, GATE_BITS)
+        real = numeric.eval_expression
+
+        def widened(tree, bits):
+            m, r, e = real(tree, bits)
+            return m, r + (((1 << -e) + abs(m)) >> (GATE_BITS - shift)), e
+
+        monkeypatch.setattr(numeric, "eval_expression", widened)
         if raises:
-            with pytest.raises(PrecisionError, match="disagree"):
+            with pytest.raises(PrecisionError, match="radius exceeds"):
                 eval_dual(tree, GATE_BITS)
         else:
             assert eval_dual(tree, GATE_BITS) == expected
-
-    @GATE_CASES
-    def test_branch_residuals(self, monkeypatch, shift, raises):
-        r = reduce_radical(7, -2158, 4656966)
-        _perturb_2b(monkeypatch, "eval_expression", shift)
-        if raises:
-            with pytest.raises(PrecisionError, match="disagree"):
-                branch_residuals(r, GATE_BITS)
-        else:
-            assert branch_residuals(r, GATE_BITS)["branch_signs_consistent"]
 
     @GATE_CASES
     def test_verify_root_map(self, monkeypatch, shift, raises):
@@ -503,31 +712,33 @@ SEPTIC = ("reduce", "--p", "7", "--d", "-2158", "--R", "4656966", "--numeric")
 
 
 class TestCliOutputBytes:
-    """stdout of the numeric commands, byte for byte as recorded before the
-    dual-precision pass was merged into one evaluation per precision."""
+    """stdout of the numeric commands, byte for byte as recorded when the
+    residuals became certified upper bounds from one integer enclosure per
+    branch."""
 
     @pytest.mark.parametrize(
         "bits,sha256,numeric_tail",
         [
             (
                 256,
-                "08ddf6a72a27bd453d6391d7ef17e300a10014ee62ec3fcbcfea45d4b8f9a157",
-                '  "numeric": {\n    "bits": 256,\n    "residuals": [\n      "0.0",\n'
-                '      "4.5542295114755860329e-79"\n    ],\n'
-                '    "max_residual": "4.5542295114755860329e-79",\n'
+                "e1e12fc5d18a1d2e1e5b9abe6f8549647bbc1e977d733179dc1f4883787fc8e6",
+                '  "numeric": {\n    "bits": 256,\n    "residuals": [\n'
+                '      "6.7470066836675348636e-80",\n      "4.5542295114755860329e-78"\n'
+                '    ],\n    "max_residual": "4.5542295114755860329e-78",\n'
                 '    "residual_bound": "2^-200",\n    "residual_bound_ok": true,\n'
                 '    "branch_signs_consistent": true\n  }\n}\n',
             ),
             (
                 1024,
-                "de62ab47e2104f060e2a39ab2d7d612ce8ee9c846c9feb3e6e48ca652bb6e1c2",
+                "4987310bce6712403fb9d2dca26d26b4329b9936153c5ef84a7896d56d88cf97",
                 '  "numeric": {\n    "bits": 1024,\n    "residuals": [\n'
-                '      "1.0864618449742194253e-311",\n      "3.0420931659278143909e-310"\n'
-                '    ],\n    "max_residual": "3.0420931659278143909e-310",\n'
+                '      "4.3458473798968777013e-311",\n      "2.3793514404935405415e-309"\n'
+                '    ],\n    "max_residual": "2.3793514404935405415e-309",\n'
                 '    "residual_bound": "2^-968",\n    "residual_bound_ok": true,\n'
                 '    "branch_signs_consistent": true\n  }\n}\n',
             ),
         ],
+        ids=["256", "1024"],
     )
     def test_septic_reduce_numeric(self, capsys, bits, sha256, numeric_tail):
         out = _stdout(capsys, *SEPTIC, "--bits", str(bits))
@@ -599,7 +810,7 @@ SELFTEST_256 = """\
     {
       "name": "septic-numeric-residual",
       "pass": true,
-      "detail": "max residual 4.5542295114755860329e-79 < 6.2230152778611417071e-61"
+      "detail": "max residual 4.5542295114755860329e-78 < 6.2230152778611417071e-61"
     },
     {
       "name": "construction-roundtrip",
