@@ -35,6 +35,7 @@ from .exactnum import (
     PrecisionError,
     QuadExt,
     parse_rational,
+    tolerance,
     tolerance_exp,
 )
 
@@ -181,7 +182,7 @@ def cmd_reduce(args) -> int:
             res = branch_residuals(result, args.bits)
             # Relative to the size of the terms that cancel in (v^p - d)^2 - R.
             d, R = result.params.d, result.params.R
-            bound = Fraction(1, 2**tol_exp) * max(1, d * d, abs(R))
+            bound = tolerance(args.bits, tol_exp) * max(1, d * d, abs(R))
             obj["numeric"] = {
                 "bits": args.bits,
                 "residuals": [decimal_str(r) for r in res["residuals"]],
@@ -332,7 +333,7 @@ def _selftest_checks(bits: int, tol_exp: int | None) -> list[dict]:
         getattr(reduction, name)(*args) for name, *args in GOLDEN
     )
 
-    tol = Fraction(1, 2 ** tolerance_exp(bits, tol_exp))
+    tol = tolerance(bits, tol_exp)
     if r7.branches is None:
         residual_ok, residual_detail = False, "u is irrational: no branches to evaluate"
     else:

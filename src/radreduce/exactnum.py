@@ -52,6 +52,13 @@ def tolerance_exp(bits: int, tol_exp: int | None = None) -> int:
     return tol_exp if tol_exp is not None else bits - ZERO_MARGIN_BITS
 
 
+def tolerance(bits: int, tol_exp: int | None = None) -> Fraction:
+    """2^-E for E = tolerance_exp(bits, tol_exp); ValueError if E < 0."""
+    if (exp := tolerance_exp(bits, tol_exp)) < 0:
+        raise ValueError(f"residual tolerance exponent {exp} < 0 at {bits} bits")
+    return Fraction(1, 1 << exp)
+
+
 class PrecisionError(ArithmeticError):
     """A numeric result is undecided at the working precision: an enclosure
     too wide or holding 0 where a sign is needed, or B and 2B values that

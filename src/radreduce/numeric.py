@@ -23,16 +23,20 @@ exceeds 2^-(B - 16) (1 + |value|), the tolerance of the B/2B gate it replaces.
 That gate accepted a value this close to a second one computed at 2B bits, so
 it assumed the 2B value exact; the radius bounds the distance to the truth.
 
-The root map computes one complex zero y of Z^p - (d + sqrt(R)), forms the p
-sums u_k = z^((p-1)/2) (y zeta^k + y' zeta^-k) with a primitive p-th root of
-unity zeta, and confirms they are p distinct zeros of the trace polynomial.
-sqrt(R) and z are ball-root midpoints.  When d < 0 < R, d + sqrt(R) cancels,
-so it is taken as D / (d - sqrt(R)), whose denominator adds two terms of one
-sign.  zeta is computed two independent ways (Newton on w^p - 1 in Gaussian
-fixed point, versus mpmath cosine/sine) and cross-checked.  mpmath forms the
-u_k, keeping relative precision where y and y' differ by hundreds of bits;
-their checks run in Gaussian fixed point behind a B/2B agreement gate.  Only
-the root map and `eval_dual` import mpmath.
+The root map gives the p zeros of the trace polynomial as u_k = w_k + D/w_k,
+w_k = z^h y zeta^k, so that w_k^p = beta = D^h (d + sqrt(R)), h = (p-1)/2, for
+the principal p-th root y of d + sqrt(R), the real p-th root z of D and
+zeta = e^(2 pi i/p); each u_k is a Gaussian fixed-point pair at scale 2^(B + 32).
+If R > 0, w_k = w zeta^k' for the real ball root w of beta (taken as
+D^(h+1) / (d - sqrt(R)) when d < 0, where d + sqrt(R) cancels), with k' = k,
+or k + h + 1 when d + sqrt(R) < 0 and y is its real root times zeta^(h+1):
+u_k = (w + D/w) cos(2 pi k'/p) + i (w - D/w) sin(2 pi k'/p), real exactly at
+k' = 0.  If R < 0, then D > 0 and d + i sqrt(-R) = sqrt(D) v with |v| = 1, so
+w_k = sqrt(D) e zeta^k for the principal root e of w^p - v, found by Newton,
+and every u_k = w_k + conj(w_k) is real.  zeta is the Newton root of w^p - 1,
+cross-checked against mpmath cosine/sine; the u_k are checked behind a B/2B
+agreement gate.  Only `zeta_two_ways` (that cosine/sine) and `_to_mpf` (the
+mpf that `eval_dual` returns) import mpmath.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from itertools import combinations
 
 from . import exprtree as et
 from .construct import InstanceParams, trace_poly
-from .exactnum import DEFAULT_BITS, PrecisionError, integer_nth_root, tolerance_exp
+from .exactnum import DEFAULT_BITS, PrecisionError, integer_nth_root, tolerance
 from .poly import rational_roots
 
 # Values are accepted to 2^-(B - 16) (1 + |v|): enclosure radii and B/2B pairs.
@@ -179,41 +183,38 @@ def _to_mpf(ball):
     return mp.make_mpf(from_man_exp(ball[0], ball[2]))
 
 
-def _fixed(x, prec: int) -> tuple[int, int]:
-    """(re, im) of a finite mpf or mpc as floor(x 2^prec) integers, read off
-    the mantissas and exponents with no mpmath arithmetic."""
-    parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, (0, 0, 0, 0))
-    out = []
-    for sign, man, exp, bc in parts:
-        if bc < 0:
-            raise ValueError(f"non-finite value {x}")
-        man, shift = -man if sign else man, exp + prec
-        out.append(man << shift if shift >= 0 else man >> -shift)
-    return out[0], out[1]
+def _shift(n: int, s: int) -> int:
+    """floor(n 2^s)."""
+    return n << s if s >= 0 else n >> -s
 
 
-def _gauss_pow(w: tuple[int, int], n: int, q: int) -> tuple[int, int]:
-    """w^n (n >= 1) for a Gaussian fixed-point value w = (re, im) at scale 2^q."""
-    a, b = w
-    for _ in range(n - 1):
-        a, b = (a * w[0] - b * w[1]) >> q, (a * w[1] + b * w[0]) >> q
-    return a, b
+def _gauss_powers(w: tuple[int, int], n: int, q: int) -> list[tuple[int, int]]:
+    """w^0, ..., w^n for a Gaussian fixed-point value w = (re, im) at scale 2^q."""
+    powers = [(1 << q, 0)]
+    for _ in range(n):
+        a, b = powers[-1]
+        powers.append(((a * w[0] - b * w[1]) >> q, (a * w[1] + b * w[0]) >> q))
+    return powers
+
+
+def _complex_str(u: tuple[int, int], prec: int) -> str:
+    """u = (re, im) at scale 2^prec to 30 digits, laid out as mpmath's `nstr`
+    lays out a complex value: "(re + imj)", or "(re - |im|j)" when im < 0."""
+    re, im = (decimal_str(Fraction(x, 1 << prec), 30) for x in u)
+    return f"({re} - {im[1:]}j)" if im[0] == "-" else f"({re} + {im}j)"
 
 
 def _check_agreement(low, high, bits: int) -> None:
-    """The dual-precision gate for real and complex pairs: raise PrecisionError
-    unless the values computed at `bits` and `2*bits` agree to
-    2^-(bits - 16) * (1 + |high|), compared in integers at scale 2^(2 bits + 32)."""
+    """The dual-precision gate: raise PrecisionError unless the Gaussian
+    fixed-point values low, at scale 2^(bits + 32), and high, at scale
+    2^(2 bits + 32), agree to 2^-(bits - 16) * (1 + |high|)."""
     prec = 2 * bits + _GUARD
-    lo, hi = _fixed(low, prec), _fixed(high, prec)
-    dist2 = (lo[0] - hi[0]) ** 2 + (lo[1] - hi[1]) ** 2
-    bound = (1 << prec) + math.isqrt(hi[0] ** 2 + hi[1] ** 2)
+    dist2 = ((low[0] << bits) - high[0]) ** 2 + ((low[1] << bits) - high[1]) ** 2
+    bound = (1 << prec) + math.isqrt(high[0] ** 2 + high[1] ** 2)
     # Both sides times 2^32, so that bits < 16 needs no negative shift.
     if dist2 << 2 * bits > bound * bound << 2 * AGREEMENT_MARGIN_BITS:
-        raise PrecisionError(
-            f"precision-{bits} and precision-{2 * bits} values disagree: "
-            f"{low} vs {high}"
-        )
+        low, high = _complex_str(low, bits + _GUARD), _complex_str(high, prec)
+        raise PrecisionError(f"{bits}- and {2 * bits}-bit values disagree: {low} vs {high}")
 
 
 def eval_dual(tree: et.Expr, bits: int = DEFAULT_BITS):
@@ -254,20 +255,11 @@ def branch_residuals(result, bits: int = DEFAULT_BITS) -> dict:
     }
 
 
-def zeta_two_ways(p: int, bits: int = DEFAULT_BITS):
-    """Primitive p-th root of unity by two independent routes.
-
-    Newton on w^p - 1 runs on Gaussian fixed-point integers at scale 2^prec,
-    prec = bits + 32, from a 53-bit seed by stdlib `math.cos`/`math.sin`: one
-    step per rung of a doubling precision ladder, then at full precision until
-    the step converges; its residual |w^p - 1| must be at most 2^-(prec - 16).
-    The other route is mpmath cosine/sine.  Compared in integers, they raise
-    PrecisionError if they disagree beyond 2^-(bits - 16).
-    """
-    from mpmath import mp, mpc, mpf
-
-    prec = bits + _GUARD
-    angle = 2 * math.pi / p
+def _unit_root(v: tuple[int, int], p: int, prec: int, angle: float) -> tuple[int, int]:
+    """The zero of w^p - v nearest e^(i angle), v on the unit circle, both at
+    scale 2^prec: Newton from a 53-bit seed by stdlib `math.cos`/`math.sin`,
+    one step per rung of a doubling precision ladder, then at full precision
+    until the step converges; PrecisionError unless |w^p - v| <= 2^-(prec - 16)."""
     q = min(53, prec)
     w = (round(math.cos(angle) * 2**q), round(math.sin(angle) * 2**q))
     # Each step doubles the correct bits, so it runs at about twice the
@@ -277,25 +269,35 @@ def zeta_two_ways(p: int, bits: int = DEFAULT_BITS):
         rungs.append(rungs[-1] // 2 + 8)
     for rung in rungs[:0:-1] + [prec] * 64:
         w, q = (w[0] << rung - q, w[1] << rung - q), rung
-        power = _gauss_pow(w, p - 1, q)
-        num_re = ((power[0] * w[0] - power[1] * w[1]) >> q) - (1 << q)
-        num_im = (power[0] * w[1] + power[1] * w[0]) >> q
+        *_, power, top = _gauss_powers(w, p, q)
+        num_re, num_im = top[0] - (v[0] >> prec - q), top[1] - (v[1] >> prec - q)
         den = p * (power[0] ** 2 + power[1] ** 2)
-        # (w^p - 1) / (p w^(p-1)), multiplied through by conj(w^(p-1)).
+        # (w^p - v) / (p w^(p-1)), multiplied through by conj(w^(p-1)).
         sr = ((num_re * power[0] + num_im * power[1]) << q) // den
         si = ((num_im * power[0] - num_re * power[1]) << q) // den
         w = (w[0] - sr, w[1] - si)
         if q == prec and (sr * sr + si * si) << 2 * (prec - 8) <= w[0] ** 2 + w[1] ** 2:
             break
-    resid = _gauss_pow(w, p, prec)
-    if (resid[0] - (1 << prec)) ** 2 + resid[1] ** 2 > 1 << 32:
-        raise PrecisionError("root-of-unity Newton iteration failed to converge")
+    resid = _gauss_powers(w, p, prec)[-1]
+    if (resid[0] - v[0]) ** 2 + (resid[1] - v[1]) ** 2 > 1 << 32:
+        raise PrecisionError(f"Newton iteration on w^{p} - v failed to converge")
+    return w
+
+
+def zeta_two_ways(p: int, bits: int = DEFAULT_BITS):
+    """(newton, series, diff): a primitive p-th root of unity as Gaussian
+    fixed-point values at scale 2^(bits + 32) by `_unit_root` on w^p - 1 and
+    by mpmath cosine/sine, and their distance as a Fraction.  Raises
+    PrecisionError if the routes disagree beyond 2^-(bits - 16)."""
+    from mpmath import mp
+    from mpmath.libmp import to_fixed
+
+    prec = bits + _GUARD
+    newton = _unit_root((1 << prec, 0), p, prec, 2 * math.pi / p)
     with mp.workprec(prec):
         angle = 2 * mp.pi / p
-        series = mpc(mp.cos(angle), mp.sin(angle))
-        newton = mpc(mpf((w[0], -prec)), mpf((w[1], -prec)))
-    s = _fixed(series, prec)
-    dist2 = (w[0] - s[0]) ** 2 + (w[1] - s[1]) ** 2
+        series = (to_fixed(mp.cos(angle)._mpf_, prec), to_fixed(mp.sin(angle)._mpf_, prec))
+    dist2 = (newton[0] - series[0]) ** 2 + (newton[1] - series[1]) ** 2
     diff = Fraction(math.isqrt(dist2), 1 << prec)
     if dist2 > 1 << 2 * (prec - bits + AGREEMENT_MARGIN_BITS):
         raise PrecisionError(
@@ -304,84 +306,69 @@ def zeta_two_ways(p: int, bits: int = DEFAULT_BITS):
     return newton, series, diff
 
 
-def _root_map_once(params: InstanceParams, bits: int) -> list:
-    """The p scaled conjugate sums u_k at one working precision."""
-    from mpmath import mp, mpc
-
-    p, prec = params.p, bits + _GUARD
-    with mp.workprec(prec):
-        root = _to_mpf(_root(_leaf(abs(params.R), prec), 2, prec))
-        sqrtR = root if params.R > 0 else mpc(0, root)
-        d = _to_mpf(_leaf(params.d, prec))
-        if d < 0 < params.R:
-            # d + sqrt(R) cancels; the norm form D / (d - sqrt(R)) is the same
-            # number from two terms of one sign.
-            w = _to_mpf(_leaf(params.D, prec)) / (d - sqrtR)
-        else:
-            w = d + sqrtR
-        y = mp.exp(mp.log(mpc(w)) / p)  # principal complex p-th root
-        z = _to_mpf(_root(_leaf(params.D, prec), p, prec))
-        zeta, _, _ = zeta_two_ways(p, bits)
-        y_conj = z / y
-        zhalf = z ** ((p - 1) // 2)
-        powers = [mpc(1)]
-        for _ in range(p - 1):
-            powers.append(powers[-1] * zeta)
-        # zeta^-k = zeta^(p-k)
-        return [zhalf * (y * powers[k] + y_conj * powers[-k]) for k in range(p)]
-
-
-def root_map_values(p: int, d, R, bits: int = DEFAULT_BITS) -> list:
-    """The p scaled conjugate sums u_k as complex values at `bits` precision."""
-    return _root_map_once(InstanceParams.create(p, d, R), bits)
+def _root_map_once(params: InstanceParams, bits: int) -> list[tuple[int, int]]:
+    """The p values u_k = w_k + D / w_k of the module docstring, as Gaussian
+    fixed-point values (re, im) at scale 2^(bits + 32)."""
+    p, d, R, D, prec = params.p, params.d, params.R, params.D, bits + _GUARD
+    powers = _gauss_powers(zeta_two_ways(p, bits)[0], p - 1, prec)
+    if R < 0:
+        # u_k = 2 sqrt(D) Re(e zeta^k) for e^p = v = (d + i sqrt(-R)) / sqrt(D).
+        m, _, ex = root = _root(_leaf(D, prec), 2, prec)
+        v_re = _mul(_leaf(d, prec), _inv(root, prec), prec)
+        v_im = _root(_leaf(-R / D, prec), 2, prec)
+        v = (_shift(v_re[0], v_re[2] + prec), _shift(v_im[0], v_im[2] + prec))
+        e = _unit_root(v, p, prec, math.atan2(v[1] / (1 << prec), v[0] / (1 << prec)) / p)
+        return [(_shift(m * (e[0] * c - e[1] * s), ex + 1 - prec), 0) for c, s in powers]
+    h, root = (p - 1) // 2, _root(_leaf(R, prec), 2, prec)
+    if d < 0:
+        # beta = D^h D / (d - sqrt(R)): no cancellation.
+        den = _inv(_add(_leaf(d, prec), (-root[0], root[1], root[2]), prec), prec)
+        beta = _mul(_leaf(D ** (h + 1), prec), den, prec)
+    else:
+        beta = _mul(_leaf(D**h, prec), _add(_leaf(d, prec), root, prec), prec)
+    w = _root(beta, p, prec)
+    m, r, e = _mul(_leaf(D, prec), _inv(w, prec), prec)
+    re, im = _add(w, (m, r, e), prec), _add(w, (-m, r, e), prec)
+    k0 = h + 1 if d < 0 < D else 0  # d + sqrt(R) < 0: k' = k + h + 1
+    rotated = powers[k0:] + powers[:k0]
+    return [(_shift(re[0] * c, re[2]), _shift(im[0] * s, im[2])) for c, s in rotated]
 
 
 def verify_root_map(p: int, d, R, bits: int = DEFAULT_BITS, tol_exp: int | None = None) -> dict:
-    """Check that the p scaled conjugate sums are p distinct zeros of the
-    trace polynomial (numerically, at two precisions).
+    """Check that the p values u_k of the root map are p distinct zeros of
+    the trace polynomial (numerically, at two precisions).
 
     After the B/2B gate the checks run on the 2B values and f's floored
-    coefficients as Gaussian fixed-point integers at scale 2^(2 bits + 32).
-    Relative residual tolerance defaults to 2^-(bits - 56); the residual is
-    scaled by sum_i |c_i| max(1, |u|)^i.  Limited to p <= ROOT_MAP_MAX_P = 61:
-    construct_example(61, -5, 2) takes about 60 ms at 256 bits (48 ms of it
-    the rational-root search) and 160 ms at 1024 bits on a 2-CPU Xeon.
-
-    A u_k with |Im u_k| at most the gate's tolerance 2^-(bits - 16) (1 + |u_k|)
-    and below 2^-(bits//2 + 2) prints with imaginary part exactly 0, not its
-    rounding noise.  That hides no non-real zero: f has real coefficients, so
-    its conjugate, another u_j, lies within 2^-(bits//2 + 1): distinct: false.
+    coefficients at scale 2^(2 bits + 32).  The relative residual, scaled by
+    sum_i |c_i| max(1, |u|)^i, must be below `exactnum.tolerance` (by default
+    2^-(bits - 56)).  Values print to 30 digits, with imaginary part exactly 0
+    where u_k is real by construction.  Limited to p <= ROOT_MAP_MAX_P = 61:
+    construct_example(61, -5, 2) takes about 52 ms at 256 bits (30-45 ms of
+    it the rational-root search) and 165 ms at 1024 bits on a 2-CPU Xeon.
     """
-    from mpmath import mp
-    from mpmath.libmp import fzero
-
     if p > ROOT_MAP_MAX_P:
         raise ValueError(f"p = {p} exceeds ROOT_MAP_MAX_P = {ROOT_MAP_MAX_P}")
     params = InstanceParams.create(p, d, R)
     f = trace_poly(params)
-    tol = Fraction(1, 2 ** tolerance_exp(bits, tol_exp))
+    tol = tolerance(bits, tol_exp)
 
     u_low = _root_map_once(params, bits)
-    u_high = _root_map_once(params, 2 * bits)
-    for lo, hi in zip(u_low, u_high):
+    us = _root_map_once(params, 2 * bits)
+    for lo, hi in zip(u_low, us):
         _check_agreement(lo, hi, bits)
 
     prec = 2 * bits + _GUARD
     one = 1 << prec
-    us = [_fixed(u, prec) for u in u_high]
     coeffs = [(c.numerator << prec) // c.denominator for c in f.coeffs]
     max_rel, values = Fraction(0), []
-    for u, (ur, ui) in zip(u_high, us):
-        mag = max(one, size := math.isqrt(ur * ur + ui * ui))
+    for ur, ui in us:
+        mag = max(one, math.isqrt(ur * ur + ui * ui))
         fr, fi, scale = coeffs[-1], 0, abs(coeffs[-1])
         for c in reversed(coeffs[:-1]):
             fr, fi = ((fr * ur - fi * ui) >> prec) + c, (fr * ui + fi * ur) >> prec
             scale = (scale * mag >> prec) + abs(c)
         max_rel = max(max_rel, Fraction(math.isqrt(fr * fr + fi * fi) + 1, scale))
-        near_axis = abs(ui) << bits <= (one + size) << AGREEMENT_MARGIN_BITS
-        if near_axis and abs(ui) << (bits // 2 + 2) < one:
-            u = mp.make_mpc((u._mpc_[0], fzero))
-        values.append(mp.nstr(u, 30))
+        values.append(_complex_str((ur, ui), prec))
 
     min_dist2 = min((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 for a, b in combinations(us, 2))
     distinct = min_dist2 > 1 << 2 * (prec - bits // 2)

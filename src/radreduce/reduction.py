@@ -51,6 +51,9 @@ class NecessaryConditions:
     All three hold for every valid instance, by input validation in
     `InstanceParams.create`.  In particular g = (Z^p - d)^2 - R has no
     rational zero: a zero r would make R = (r^p - d)^2 a rational square.
+    So `all_hold` reports that validation only, not the degree of y: it is
+    true on the cubic golden instance (3, -7, 50), where y = sqrt(2) - 1 has
+    degree 2.  Capelli's criterion would decide it (ROADMAP item 3).
     """
 
     sqrtR_irrational: bool

@@ -17,6 +17,7 @@ from radreduce.exactnum import (
     parse_rational,
     rational_is_square,
     rational_odd_root,
+    tolerance,
 )
 
 fractions_small = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -157,6 +158,28 @@ class TestCheckP:
     def test_rejects_non_int_p(self, call):
         with pytest.raises(ValueError, match=r"^p must be an odd integer >= 3, got 3\.0$"):
             call(3.0)
+
+
+class TestTolerance:
+    """The residual bound 2^-E, E = bits - 56 unless given, as a Fraction."""
+
+    @pytest.mark.parametrize(
+        "bits,tol_exp,value",
+        [
+            (56, None, Fraction(1)),
+            (57, None, Fraction(1, 2)),
+            (256, None, Fraction(1, 2**200)),
+            (8, 0, Fraction(1)),
+            (8, 3, Fraction(1, 8)),
+        ],
+    )
+    def test_value(self, bits, tol_exp, value):
+        assert tolerance(bits, tol_exp) == value
+
+    @pytest.mark.parametrize("bits,tol_exp", [(55, None), (32, None), (0, None), (256, -1)])
+    def test_negative_exponent_raises(self, bits, tol_exp):
+        with pytest.raises(ValueError, match="tolerance exponent -"):
+            tolerance(bits, tol_exp)
 
 
 # 399165290221 * 798330580441, a strong pseudoprime to the bases 2, 3, ..., 37.

@@ -1,7 +1,10 @@
 """What a fresh process imports: each subcommand loads only what it runs, and
-no CLI command loads mpmath (only the library's root map and `eval_dual` do);
-the package namespace resolves lazily."""
+no CLI command loads mpmath; the package namespace resolves lazily.  In the
+source, only `numeric.zeta_two_ways` (its cosine/sine route to the root of
+unity) and `numeric._to_mpf` (the mpf that `eval_dual` returns) import
+mpmath."""
 
+import ast
 import json
 import os
 import subprocess
@@ -67,6 +70,25 @@ def test_numeric_commands_do_not_load_mpmath(argv):
     loaded = loaded_modules(argv)
     assert "radreduce.numeric" in loaded
     assert "mpmath" not in loaded
+
+
+def test_mpmath_is_imported_only_by_the_two_numeric_functions():
+    importers = set()
+    for path in sorted((SRC / "radreduce").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if not any(name.split(".")[0] == "mpmath" for name in names):
+                continue
+            owner = [f.name for f in functions if node in ast.walk(f)]
+            importers.add(f"{path.stem}.{owner[-1] if owner else '<module>'}")
+    assert importers == {"numeric.zeta_two_ways", "numeric._to_mpf"}
 
 
 def test_coeffs_loads_only_its_modules():

@@ -23,7 +23,6 @@ from radreduce.numeric import (
     decimal_str,
     eval_dual,
     eval_expression,
-    root_map_values,
     verify_root_map,
     zeta_two_ways,
 )
@@ -45,6 +44,17 @@ def to_fraction(x) -> Fraction:
     sign, man, exp, _ = x._mpf_
     value = Fraction(man) * Fraction(2) ** exp
     return -value if sign else value
+
+
+def gauss(pair, prec):
+    """A Gaussian fixed-point value (re, im) at scale 2^prec as an mpc; exact
+    when the ambient precision holds both integers."""
+    return mpc(*(numeric._to_mpf((x, 0, -prec)) for x in pair))
+
+
+def at_scale(z, prec) -> tuple[int, int]:
+    """floor(z 2^prec) of each part of a pair of Fractions."""
+    return tuple(math.floor(x * 2**prec) for x in z)
 
 
 def midpoint(ball) -> Fraction:
@@ -370,7 +380,7 @@ class TestZetaTwoWays:
         newton, series, diff = zeta_two_ways(p, 256)
         assert diff < F(1, 2**240)
         with mp.workprec(300):
-            assert abs(newton**p - 1) < TWO**-250
+            assert abs(gauss(newton, 288) ** p - 1) < TWO**-250
 
     @pytest.mark.parametrize("bits", [1024, 2048])
     @pytest.mark.parametrize("p", [3, 13])
@@ -378,7 +388,7 @@ class TestZetaTwoWays:
         newton, series, diff = zeta_two_ways(p, bits)
         assert diff < F(1, 2 ** (bits - 16))
         with mp.workprec(bits + 44):
-            assert abs(newton**p - 1) < TWO ** -(bits - 6)
+            assert abs(gauss(newton, bits + 32) ** p - 1) < TWO ** -(bits - 6)
 
     @pytest.mark.parametrize("p", range(3, 14))
     def test_routes_agree_without_the_ladder(self, p):
@@ -386,6 +396,7 @@ class TestZetaTwoWays:
         newton, series, diff = zeta_two_ways(p, 64)
         assert diff < F(1, 2**48)
         with mp.workprec(128):
+            newton = gauss(newton, 96)
             assert abs(newton**p - 1) < TWO**-80
             assert abs(newton - mp.expjpi(mpf(2) / p)) < TWO**-80
 
@@ -414,6 +425,25 @@ class TestZetaTwoWays:
             zeta_two_ways(p, 256)
 
 
+# construct_example(p, D, u) with R of both signs and, when d < 0 < R, at
+# most 16 bits cancelling in d + sqrt(R) (|d + sqrt(R)| ~ |D| / (2 |d|)).
+_instances = st.builds(
+    lambda p, D, u: (p, D, u),
+    st.sampled_from([3, 5, 7, 9, 11, 13]),
+    st.sampled_from([D for D in range(-12, 13) if D]),
+    st.integers(min_value=-6, max_value=6),
+)
+
+
+def _planted(p, D, u):
+    try:
+        params, _ = construct_example(p, D, u)
+    except ReductionError:
+        assume(False)
+    assume(not params.d < 0 < params.R or 2 * params.d**2 <= abs(params.D) * 2**16)
+    return params
+
+
 class TestRootMap:
     def test_cubic_values_are_roots_of_the_trace_poly(self):
         # u_k are the three roots of Z^3 + 3Z - 14; the real one is 2.
@@ -432,10 +462,11 @@ class TestRootMap:
         assert rep["rational_root_distances"]["4"] < F(1, 2**200)
 
     def test_conjugate_symmetry(self):
-        vals = root_map_values(5, 2, 5, 256)
-        with mp.workprec(320):
-            for k in range(1, 5):
-                assert abs(vals[5 - k] - vals[k].conjugate()) < TWO**-200
+        # Values at scale 2^288: 2^88 units are 2^-200.
+        vals = numeric._root_map_once(InstanceParams.create(5, 2, 5), 256)
+        for k in range(1, 5):
+            (a, b), (c, e) = vals[5 - k], vals[k]
+            assert abs(a - c) < 2**88 and abs(b + e) < 2**88
 
     @pytest.mark.parametrize(
         "p,D,u",
@@ -446,12 +477,13 @@ class TestRootMap:
         # d < 0 < R with d^2 far above |D|, so d + sqrt(R) cancels almost all
         # of its bits; the root map forms it as D / (d - sqrt(R)) instead.
         params, _ = construct_example(p, D, u)
-        low = root_map_values(p, params.d, params.R, 256)
-        high = root_map_values(p, params.d, params.R, 512)
+        low = numeric._root_map_once(params, 256)
+        high = numeric._root_map_once(params, 512)
         for lo, hi in zip(low, high):
             numeric._check_agreement(lo, hi, 256)
-        with mp.workprec(600):
-            assert min(abs(v - u) for v in high) < TWO**-200 * abs(u)
+        # Values at scale 2^544: |v - u| < 2^-200 |u|.
+        target = u * 2**544
+        assert min((re - target) ** 2 + im * im for re, im in high) < (u * 2**344) ** 2
 
     def test_verify_root_map_on_cancelling_sum(self):
         params, _ = construct_example(11, -6, 15)
@@ -472,8 +504,11 @@ class TestRootMap:
         real = numeric._root_map_once
 
         def shifted(params, bits):
-            with mp.workprec(2 * bits + 64):
-                return [u + TWO ** -(B - 64) * (1 + abs(u)) for u in real(params, bits)]
+            one = 1 << (bits + numeric._GUARD)
+            return [
+                (re + ((one + math.isqrt(re * re + im * im)) >> (B - 64)), im)
+                for re, im in real(params, bits)
+            ]
 
         monkeypatch.setattr(numeric, "_root_map_once", shifted)
         rep = verify_root_map(*args, B)
@@ -491,11 +526,29 @@ class TestRootMap:
 
         def last_bit_flipped(p, bits):
             newton, series, diff = real(p, bits)
-            with mp.workprec(bits + 64):
-                return newton + TWO ** -(bits + numeric._GUARD), series, diff
+            return (newton[0] + 1, newton[1]), series, diff
 
         monkeypatch.setattr(numeric, "zeta_two_ways", last_bit_flipped)
         assert verify_root_map(*args)["values"] == values
+
+    @settings(deadline=None)
+    @given(_instances)
+    def test_values_are_real_exactly_where_the_map_makes_them_real(self, instance):
+        # Every u_k when R < 0; only k' = 0, with sin(2 pi k' / p) = 0, when R > 0.
+        params = _planted(*instance)
+        try:
+            values = verify_root_map(params.p, params.d, params.R, 256)["values"]
+        except FactorizationError:
+            assume(False)
+        real = sum(v.endswith(" + 0.0j)") for v in values)
+        assert real == (params.p if params.R < 0 else 1)
+
+    def test_tolerance_needs_56_bits(self):
+        # The default residual tolerance 2^-(bits - 56) needs bits >= 56.
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_root_map(3, -7, 50, 32)
+        rep = verify_root_map(3, -7, 50, 57)
+        assert rep["ok"] and rep["tolerance"] == F(1, 2)
 
     def test_p_cap(self):
         params, _ = construct_example(ROOT_MAP_MAX_P, -5, 2)
@@ -517,14 +570,31 @@ class TestRootMap:
         assert rep["min_pairwise_distance"] == 0
 
 
+def _mpmath_root_map_once(params, bits):
+    """The reference root map in mpmath complex arithmetic at bits + 32:
+    u_k = z^h (y zeta^k + (z / y) zeta^-k) for the principal p-th root y of
+    d + sqrt(R), taken as D / (d - sqrt(R)) when d < 0 < R, the real p-th
+    root z of D, h = (p - 1) / 2 and zeta = e^(2 pi i / p)."""
+    p, R = params.p, params.R
+    with mp.workprec(bits + 32):
+        d, D = to_mpf(params.d), to_mpf(params.D)
+        root = mp.sqrt(to_mpf(abs(R)))
+        sqrtR = root if R > 0 else mpc(0, root)
+        w = D / (d - sqrtR) if d < 0 < R else d + sqrtR
+        y = mp.exp(mp.log(mpc(w)) / p)
+        z = mp.sign(D) * mp.root(abs(D), p)
+        zeta = mp.expjpi(mpf(2) / p)
+        zhalf = z ** ((p - 1) // 2)
+        return [zhalf * (y * zeta**k + z / y * zeta**-k) for k in range(p)]
+
+
 def _root_map_oracle(p, d, R, bits):
-    """verify_root_map's gate and checks as mpmath arithmetic, the way they
-    ran before they moved to Gaussian fixed-point integers, on the same
-    B and 2B values."""
+    """verify_root_map's gate and checks as mpmath arithmetic on the
+    reference root map's B and 2B values."""
     params = InstanceParams.create(p, d, R)
     f = trace_poly(params)
-    u_low = numeric._root_map_once(params, bits)
-    u_high = numeric._root_map_once(params, 2 * bits)
+    u_low = _mpmath_root_map_once(params, bits)
+    u_high = _mpmath_root_map_once(params, 2 * bits)
     with mp.workprec(2 * bits + 32):
         for lo, hi in zip(u_low, u_high):
             if abs(lo - hi) > TWO ** -(bits - 16) * (1 + abs(hi)):
@@ -552,6 +622,21 @@ def _root_map_oracle(p, d, R, bits):
             },
             "ok": bool(distinct and max_rel < tol),
         }
+
+
+def _reference_values(params, bits):
+    """The reference's 2B values as (real part to 30 digits, whether |Im| is
+    within the gate's tolerance 2^-(bits - 16) (1 + |u|))."""
+    with mp.workprec(2 * bits + 32):
+        return [
+            (mp.nstr(u.real, 30), abs(u.imag) <= TWO ** -(bits - 16) * (1 + abs(u)))
+            for u in _mpmath_root_map_once(params, 2 * bits)
+        ]
+
+
+def _printed(values):
+    """verify_root_map's value strings as (real part, whether Im prints as 0)."""
+    return [(v[1:].split(" ")[0], v.endswith(" + 0.0j)")) for v in values]
 
 
 class TestRootMapAgainstMpmathOracle:
@@ -587,6 +672,31 @@ class TestRootMapAgainstMpmathOracle:
             for g, w in zip(got["values"], want["values"], strict=True):
                 g, w = (mpmathify(v.strip("()").replace(" ", "")) for v in (g, w))
                 assert abs(g - w) <= mpf(10) ** -28 * max(1, abs(w))
+
+    @settings(deadline=None)
+    @given(_instances, st.sampled_from([256, 1024]))
+    def test_same_values(self, instance, bits):
+        params = _planted(*instance)
+        args = (params.p, params.d, params.R, bits)
+        try:
+            values = verify_root_map(*args)["values"]
+        except FactorizationError:
+            assume(False)
+        assert _printed(values) == _reference_values(params, bits)
+
+    @pytest.mark.parametrize("bits", [256, 1024])
+    def test_cancelling_655_bits(self, bits):
+        # d + sqrt(R) cancels about 655 bits; rational_roots cannot factor
+        # the cleared trace polynomial, so only the root map itself runs.
+        params, _ = construct_example(5, -3, -(10**20))
+        high = numeric._root_map_once(params, 2 * bits)
+        for lo, hi in zip(numeric._root_map_once(params, bits), high):
+            numeric._check_agreement(lo, hi, bits)
+        values = [numeric._complex_str(u, 2 * bits + numeric._GUARD) for u in high]
+        assert _printed(values) == _reference_values(params, bits)
+        assert "(-100000000000000000000.0 + 0.0j)" in values
+        with pytest.raises(FactorizationError):
+            verify_root_map(5, params.d, params.R, bits)
 
 
 class TestHelpers:
@@ -642,8 +752,11 @@ def _perturb_2b(monkeypatch, name, shift):
         out = real(arg, bits)
         if bits != 2 * GATE_BITS:
             return out
-        with mp.workprec(2 * GATE_BITS + 64):
-            return [v + TWO ** -(GATE_BITS - shift) * (1 + abs(v)) for v in out]
+        one = 1 << (bits + numeric._GUARD)
+        return [
+            (re + ((one + math.isqrt(re * re + im * im)) >> (GATE_BITS - shift)), im)
+            for re, im in out
+        ]
 
     monkeypatch.setattr(numeric, name, perturbed)
 
@@ -658,14 +771,14 @@ class TestCheckAgreement:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_threshold(self, kind, bits, magnitude, factor, raises):
         gap = F(1, 2 ** (bits - 16)) * (1 + magnitude) * factor
-        with mp.workprec(4 * bits + 1024):
-            if kind == "real":
-                high = to_mpf(magnitude)
-                low = high - to_mpf(gap)
-            else:
-                # |high| = magnitude along (3 + 4i)/5; the gap at right angles.
-                high = mpc(to_mpf(magnitude * F(3, 5)), to_mpf(magnitude * F(4, 5)))
-                low = high + mpc(to_mpf(-gap * F(4, 5)), to_mpf(gap * F(3, 5)))
+        if kind == "real":
+            high, low = (magnitude, F(0)), (magnitude - gap, F(0))
+        else:
+            # |high| = magnitude along (3 + 4i)/5; the gap at right angles.
+            high = (magnitude * F(3, 5), magnitude * F(4, 5))
+            low = (high[0] - gap * F(4, 5), high[1] + gap * F(3, 5))
+        # The gate's scales; flooring moves low by 2^-48 of the gap at most.
+        high, low = at_scale(high, 2 * bits + 32), at_scale(low, bits + 32)
         if raises:
             with pytest.raises(PrecisionError, match="disagree"):
                 numeric._check_agreement(low, high, bits)
