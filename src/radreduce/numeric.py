@@ -26,7 +26,8 @@ it assumed the 2B value exact; the radius bounds the distance to the truth.
 The root map gives the p zeros of the trace polynomial as u_k = w_k + D/w_k,
 w_k = z^h y zeta^k, so that w_k^p = beta = D^h (d + sqrt(R)), h = (p-1)/2, for
 the principal p-th root y of d + sqrt(R), the real p-th root z of D and
-zeta = e^(2 pi i/p); each u_k is a Gaussian fixed-point pair at scale 2^(B + 32).
+zeta = e^(2 pi i/p); each u_k is a Gaussian ball (re, im, r) at scale 2^(B + 32),
+the disk of radius r about re + i im.
 If R > 0, w_k = w zeta^k' for the real ball root w of beta (taken as
 D^(h+1) / (d - sqrt(R)) when d < 0, where d + sqrt(R) cancels), with k' = k,
 or k + h + 1 when d + sqrt(R) < 0 and y is its real root times zeta^(h+1):
@@ -34,9 +35,18 @@ u_k = (w + D/w) cos(2 pi k'/p) + i (w - D/w) sin(2 pi k'/p), real exactly at
 k' = 0.  If R < 0, then D > 0 and d + i sqrt(-R) = sqrt(D) v with |v| = 1, so
 w_k = sqrt(D) e zeta^k for the principal root e of w^p - v, found by Newton,
 and every u_k = w_k + conj(w_k) is real.  zeta is the Newton root of w^p - 1,
-cross-checked against mpmath cosine/sine; the u_k are checked behind a B/2B
-agreement gate.  Only `zeta_two_ways` (that cosine/sine) and `_to_mpf` (the
-mpf that `eval_dual` returns) import mpmath.
+cross-checked against mpmath cosine/sine.  Two more radius rules:
+* Gaussian mul: the mul rule with |m| <= isqrt(re^2 + im^2) + 1, plus 1 for
+  each part's floor.  A part of a Gaussian ball is a real ball of the same
+  radius, as |Re z|, |Im z| <= |z|.
+* root location: a degree-p polynomial F has a zero within p |F(w)| / |F'(w)|
+  of any w, as |F'/F| = |sum_i 1/(w - r_i)| <= p / min_i |w - r_i|.  For
+  F = x^p - v, v within r_v of its midpoint, and t the floored w^p, within E
+  of it: rho = (|t - v| + E + r_v) / |w|^(p-1).  Below 2^-8 < sin(pi/61), half
+  the spacing of the zeros when |v| = 1, the disk holds exactly one.
+`verify_root_map` builds the map once, at max(B, 128) + 32 bits, and holds
+each radius to `eval_dual`'s tolerance.  Only `zeta_two_ways` (that
+cosine/sine) and `_to_mpf` (the mpf that `eval_dual` returns) import mpmath.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from .construct import InstanceParams, trace_poly
 from .exactnum import DEFAULT_BITS, PrecisionError, integer_nth_root, tolerance
 from .poly import rational_roots
 
-# Values are accepted to 2^-(B - 16) (1 + |v|): enclosure radii and B/2B pairs.
+# Radii, and the two routes to zeta, are accepted to 2^-(B - 16) (1 + |v|).
 AGREEMENT_MARGIN_BITS = 16
 _GUARD = 32
 # Largest p that verify_root_map accepts.
@@ -188,13 +198,27 @@ def _shift(n: int, s: int) -> int:
     return n << s if s >= 0 else n >> -s
 
 
-def _gauss_powers(w: tuple[int, int], n: int, q: int) -> list[tuple[int, int]]:
-    """w^0, ..., w^n for a Gaussian fixed-point value w = (re, im) at scale 2^q."""
-    powers = [(1 << q, 0)]
-    for _ in range(n):
-        a, b = powers[-1]
-        powers.append(((a * w[0] - b * w[1]) >> q, (a * w[1] + b * w[0]) >> q))
-    return powers
+def _gauss(x, y, q: int) -> tuple[int, int, int]:
+    """The Gaussian ball x + iy at scale 2^q for real balls x and y: each part
+    floored, and the radii rounded up plus one unit each for the floors."""
+    (a, ra, ea), (b, rb, eb) = x, y
+    return _shift(a, ea + q), _shift(b, eb + q), 2 - _shift(-ra, ea + q) - _shift(-rb, eb + q)
+
+
+def _gmul(x, y, q: int) -> tuple[int, int, int]:
+    """Product of Gaussian balls (re, im, r) at scale 2^q."""
+    (a, b, r), (c, d, s) = x, y
+    spread = (math.isqrt(a * a + b * b) + 1) * s + (math.isqrt(c * c + d * d) + 1) * r + r * s
+    # One unit for rounding the radius up, and one for each part's floor.
+    return (a * c - b * d) >> q, (a * d + b * c) >> q, (spread >> q) + 3
+
+
+def _gpow(x, n: int, q: int) -> tuple[int, int, int]:
+    """x^n for n >= 1, by square-and-multiply as in `_pow`."""
+    if n == 1:
+        return x
+    half = _gpow(_gmul(x, x, q), n >> 1, q)
+    return _gmul(half, x, q) if n & 1 else half
 
 
 def _complex_str(u: tuple[int, int], prec: int) -> str:
@@ -204,17 +228,13 @@ def _complex_str(u: tuple[int, int], prec: int) -> str:
     return f"({re} - {im[1:]}j)" if im[0] == "-" else f"({re} + {im}j)"
 
 
-def _check_agreement(low, high, bits: int) -> None:
-    """The dual-precision gate: raise PrecisionError unless the Gaussian
-    fixed-point values low, at scale 2^(bits + 32), and high, at scale
-    2^(2 bits + 32), agree to 2^-(bits - 16) * (1 + |high|)."""
-    prec = 2 * bits + _GUARD
-    dist2 = ((low[0] << bits) - high[0]) ** 2 + ((low[1] << bits) - high[1]) ** 2
-    bound = (1 << prec) + math.isqrt(high[0] ** 2 + high[1] ** 2)
-    # Both sides times 2^32, so that bits < 16 needs no negative shift.
-    if dist2 << 2 * bits > bound * bound << 2 * AGREEMENT_MARGIN_BITS:
-        low, high = _complex_str(low, bits + _GUARD), _complex_str(high, prec)
-        raise PrecisionError(f"{bits}- and {2 * bits}-bit values disagree: {low} vs {high}")
+def _check_radius(r: int, mag: int, e: int, bits: int) -> None:
+    """The precision gate: raise PrecisionError unless a radius r 2^e is at
+    most 2^-(bits - 16) (1 + mag 2^e), for mag 2^e the size of the value."""
+    # Both sides times 2^(bits + s), so that no shift is negative.
+    s = max(0, -e)
+    if r << (bits + e + s) > ((1 << s) + (mag << (e + s))) << AGREEMENT_MARGIN_BITS:
+        raise PrecisionError(f"precision-{bits} enclosure radius exceeds the tolerance")
 
 
 def eval_dual(tree: et.Expr, bits: int = DEFAULT_BITS):
@@ -222,10 +242,7 @@ def eval_dual(tree: et.Expr, bits: int = DEFAULT_BITS):
     exactly.  Raises PrecisionError unless the radius is at most
     2^-(bits - 16) (1 + |midpoint|)."""
     m, r, e = ball = eval_expression(tree, bits)
-    # Both sides times 2^(bits + s), so that no shift is negative.
-    s = max(0, -e)
-    if r << (bits + e + s) > ((1 << s) + (abs(m) << (e + s))) << AGREEMENT_MARGIN_BITS:
-        raise PrecisionError(f"precision-{bits} enclosure radius exceeds the tolerance")
+    _check_radius(r, abs(m), e, bits)
     return _to_mpf(ball)
 
 
@@ -255,11 +272,24 @@ def branch_residuals(result, bits: int = DEFAULT_BITS) -> dict:
     }
 
 
-def _unit_root(v: tuple[int, int], p: int, prec: int, angle: float) -> tuple[int, int]:
-    """The zero of w^p - v nearest e^(i angle), v on the unit circle, both at
-    scale 2^prec: Newton from a 53-bit seed by stdlib `math.cos`/`math.sin`,
-    one step per rung of a doubling precision ladder, then at full precision
-    until the step converges; PrecisionError unless |w^p - v| <= 2^-(prec - 16)."""
+def _root_ball(w: tuple[int, int], v, p: int, q: int) -> tuple[int, int, int]:
+    """w = (re, im) at scale 2^q with the radius rho of the module docstring:
+    a zero of x^p - v lies within rho of w, for v a Gaussian ball at scale 2^q."""
+    power = _gpow((*w, 0), p - 1, q)
+    top = _gmul(power, (*w, 0), q)
+    defect = math.isqrt((top[0] - v[0]) ** 2 + (top[1] - v[1]) ** 2) + 1 + top[2] + v[2]
+    low = math.isqrt(power[0] ** 2 + power[1] ** 2) - power[2]
+    if low <= 0:
+        raise PrecisionError(f"|w^{p - 1}| undecided at {q} bits")
+    return (*w, -(-(defect << q) // low))
+
+
+def _unit_root(v, p: int, prec: int, angle: float) -> tuple[int, int, int]:
+    """The zero of w^p - v nearest e^(i angle), for a Gaussian ball v about
+    the unit circle, as a Gaussian ball at scale 2^prec: Newton from a 53-bit
+    seed by stdlib `math.cos`/`math.sin`, one step per rung of a doubling
+    precision ladder, then at full precision until the step converges; the
+    radius by `_root_ball`.  PrecisionError unless the radius is below 2^-8."""
     q = min(53, prec)
     w = (round(math.cos(angle) * 2**q), round(math.sin(angle) * 2**q))
     # Each step doubles the correct bits, so it runs at about twice the
@@ -269,7 +299,8 @@ def _unit_root(v: tuple[int, int], p: int, prec: int, angle: float) -> tuple[int
         rungs.append(rungs[-1] // 2 + 8)
     for rung in rungs[:0:-1] + [prec] * 64:
         w, q = (w[0] << rung - q, w[1] << rung - q), rung
-        *_, power, top = _gauss_powers(w, p, q)
+        power = _gpow((*w, 0), p - 1, q)
+        top = _gmul(power, (*w, 0), q)
         num_re, num_im = top[0] - (v[0] >> prec - q), top[1] - (v[1] >> prec - q)
         den = p * (power[0] ** 2 + power[1] ** 2)
         # (w^p - v) / (p w^(p-1)), multiplied through by conj(w^(p-1)).
@@ -278,22 +309,23 @@ def _unit_root(v: tuple[int, int], p: int, prec: int, angle: float) -> tuple[int
         w = (w[0] - sr, w[1] - si)
         if q == prec and (sr * sr + si * si) << 2 * (prec - 8) <= w[0] ** 2 + w[1] ** 2:
             break
-    resid = _gauss_powers(w, p, prec)[-1]
-    if (resid[0] - v[0]) ** 2 + (resid[1] - v[1]) ** 2 > 1 << 32:
+    ball = _root_ball(w, v, p, prec)
+    if ball[2] >> (prec - 8):
         raise PrecisionError(f"Newton iteration on w^{p} - v failed to converge")
-    return w
+    return ball
 
 
 def zeta_two_ways(p: int, bits: int = DEFAULT_BITS):
-    """(newton, series, diff): a primitive p-th root of unity as Gaussian
-    fixed-point values at scale 2^(bits + 32) by `_unit_root` on w^p - 1 and
-    by mpmath cosine/sine, and their distance as a Fraction.  Raises
-    PrecisionError if the routes disagree beyond 2^-(bits - 16)."""
+    """(newton, series, diff): a primitive p-th root of unity at scale
+    2^(bits + 32), as a Gaussian ball (re, im, r) by `_unit_root` on w^p - 1
+    and as a fixed-point pair (re, im) by mpmath cosine/sine, and the distance
+    of the midpoints as a Fraction.  Raises PrecisionError if the routes
+    disagree beyond 2^-(bits - 16)."""
     from mpmath import mp
     from mpmath.libmp import to_fixed
 
     prec = bits + _GUARD
-    newton = _unit_root((1 << prec, 0), p, prec, 2 * math.pi / p)
+    newton = _unit_root((1 << prec, 0, 0), p, prec, 2 * math.pi / p)
     with mp.workprec(prec):
         angle = 2 * mp.pi / p
         series = (to_fixed(mp.cos(angle)._mpf_, prec), to_fixed(mp.sin(angle)._mpf_, prec))
@@ -306,19 +338,22 @@ def zeta_two_ways(p: int, bits: int = DEFAULT_BITS):
     return newton, series, diff
 
 
-def _root_map_once(params: InstanceParams, bits: int) -> list[tuple[int, int]]:
+def _root_map_once(params: InstanceParams, bits: int) -> list[tuple[int, int, int]]:
     """The p values u_k = w_k + D / w_k of the module docstring, as Gaussian
-    fixed-point values (re, im) at scale 2^(bits + 32)."""
+    balls (re, im, r) at scale 2^(bits + 32)."""
     p, d, R, D, prec = params.p, params.d, params.R, params.D, bits + _GUARD
-    powers = _gauss_powers(zeta_two_ways(p, bits)[0], p - 1, prec)
+    zeta, powers = zeta_two_ways(p, bits)[0], [(1 << prec, 0, 0)]
+    for _ in range(p - 1):
+        powers.append(_gmul(powers[-1], zeta, prec))
     if R < 0:
         # u_k = 2 sqrt(D) Re(e zeta^k) for e^p = v = (d + i sqrt(-R)) / sqrt(D).
-        m, _, ex = root = _root(_leaf(D, prec), 2, prec)
+        m, r, ex = root = _root(_leaf(D, prec), 2, prec)
         v_re = _mul(_leaf(d, prec), _inv(root, prec), prec)
-        v_im = _root(_leaf(-R / D, prec), 2, prec)
-        v = (_shift(v_re[0], v_re[2] + prec), _shift(v_im[0], v_im[2] + prec))
+        v = _gauss(v_re, _root(_leaf(-R / D, prec), 2, prec), prec)
         e = _unit_root(v, p, prec, math.atan2(v[1] / (1 << prec), v[0] / (1 << prec)) / p)
-        return [(_shift(m * (e[0] * c - e[1] * s), ex + 1 - prec), 0) for c, s in powers]
+        # The radius of e zeta^k bounds the error of its real part.
+        parts = ((g[0], g[2], -prec) for g in (_gmul(e, zk, prec) for zk in powers))
+        return [_gauss(_mul((m, r, ex + 1), x, prec), (0, 0, 0), prec) for x in parts]
     h, root = (p - 1) // 2, _root(_leaf(R, prec), 2, prec)
     if d < 0:
         # beta = D^h D / (d - sqrt(R)): no cancellation.
@@ -331,20 +366,26 @@ def _root_map_once(params: InstanceParams, bits: int) -> list[tuple[int, int]]:
     re, im = _add(w, (m, r, e), prec), _add(w, (-m, r, e), prec)
     k0 = h + 1 if d < 0 < D else 0  # d + sqrt(R) < 0: k' = k + h + 1
     rotated = powers[k0:] + powers[:k0]
-    return [(_shift(re[0] * c, re[2]), _shift(im[0] * s, im[2])) for c, s in rotated]
+    # The radius of zeta^k' bounds the error of each of its parts.
+    return [
+        _gauss(_mul(re, (c, rz, -prec), prec), _mul(im, (s, rz, -prec), prec), prec)
+        for c, s, rz in rotated
+    ]
 
 
 def verify_root_map(p: int, d, R, bits: int = DEFAULT_BITS, tol_exp: int | None = None) -> dict:
     """Check that the p values u_k of the root map are p distinct zeros of
-    the trace polynomial (numerically, at two precisions).
+    the trace polynomial (numerically, from one pass of certified balls).
 
-    After the B/2B gate the checks run on the 2B values and f's floored
-    coefficients at scale 2^(2 bits + 32).  The relative residual, scaled by
-    sum_i |c_i| max(1, |u|)^i, must be below `exactnum.tolerance` (by default
-    2^-(bits - 56)).  Values print to 30 digits, with imaginary part exactly 0
-    where u_k is real by construction.  Limited to p <= ROOT_MAP_MAX_P = 61:
-    construct_example(61, -5, 2) takes about 52 ms at 256 bits (30-45 ms of
-    it the rational-root search) and 165 ms at 1024 bits on a 2-CPU Xeon.
+    The map runs once at P = max(bits, 128) + 32 bits, and PrecisionError is
+    raised unless each u_k's radius is at most 2^-(bits - 16) (1 + |u_k|).
+    The checks run on the midpoints and f's floored coefficients at scale
+    2^P.  The relative residual, scaled by sum_i |c_i| max(1, |u|)^i, must be
+    below `exactnum.tolerance` (by default 2^-(bits - 56)).  Values print to
+    30 digits, with imaginary part exactly 0 where u_k is real by
+    construction.  Limited to p <= ROOT_MAP_MAX_P = 61:
+    construct_example(61, -5, 2) takes about 39 ms at 256 bits (30 ms of it
+    the rational-root search) and 68 ms at 1024 bits on a 2-CPU Xeon.
     """
     if p > ROOT_MAP_MAX_P:
         raise ValueError(f"p = {p} exceeds ROOT_MAP_MAX_P = {ROOT_MAP_MAX_P}")
@@ -352,17 +393,15 @@ def verify_root_map(p: int, d, R, bits: int = DEFAULT_BITS, tol_exp: int | None 
     f = trace_poly(params)
     tol = tolerance(bits, tol_exp)
 
-    u_low = _root_map_once(params, bits)
-    us = _root_map_once(params, 2 * bits)
-    for lo, hi in zip(u_low, us):
-        _check_agreement(lo, hi, bits)
-
-    prec = 2 * bits + _GUARD
+    work = max(bits, 128)
+    prec, us = work + _GUARD, _root_map_once(params, work)
     one = 1 << prec
     coeffs = [(c.numerator << prec) // c.denominator for c in f.coeffs]
     max_rel, values = Fraction(0), []
-    for ur, ui in us:
-        mag = max(one, math.isqrt(ur * ur + ui * ui))
+    for ur, ui, r in us:
+        size = math.isqrt(ur * ur + ui * ui)
+        _check_radius(r, size, -prec, bits)
+        mag = max(one, size)
         fr, fi, scale = coeffs[-1], 0, abs(coeffs[-1])
         for c in reversed(coeffs[:-1]):
             fr, fi = ((fr * ur - fi * ui) >> prec) + c, (fr * ui + fi * ur) >> prec
@@ -377,7 +416,7 @@ def verify_root_map(p: int, d, R, bits: int = DEFAULT_BITS, tol_exp: int | None 
     for r in sorted(rational_roots(f)):
         rf = (r.numerator << prec) // r.denominator
         root_dists[str(r)] = Fraction(
-            math.isqrt(min((ur - rf) ** 2 + ui * ui for ur, ui in us)), one
+            math.isqrt(min((ur - rf) ** 2 + ui * ui for ur, ui, _ in us)), one
         )
 
     return {

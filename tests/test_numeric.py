@@ -47,9 +47,10 @@ def to_fraction(x) -> Fraction:
 
 
 def gauss(pair, prec):
-    """A Gaussian fixed-point value (re, im) at scale 2^prec as an mpc; exact
-    when the ambient precision holds both integers."""
-    return mpc(*(numeric._to_mpf((x, 0, -prec)) for x in pair))
+    """A Gaussian fixed-point value (re, im), or the midpoint of a Gaussian
+    ball (re, im, r), at scale 2^prec as an mpc; exact when the ambient
+    precision holds both integers."""
+    return mpc(*(numeric._to_mpf((x, 0, -prec)) for x in pair[:2]))
 
 
 def at_scale(z, prec) -> tuple[int, int]:
@@ -465,7 +466,7 @@ class TestRootMap:
         # Values at scale 2^288: 2^88 units are 2^-200.
         vals = numeric._root_map_once(InstanceParams.create(5, 2, 5), 256)
         for k in range(1, 5):
-            (a, b), (c, e) = vals[5 - k], vals[k]
+            (a, b, _), (c, e, _) = vals[5 - k], vals[k]
             assert abs(a - c) < 2**88 and abs(b + e) < 2**88
 
     @pytest.mark.parametrize(
@@ -477,13 +478,12 @@ class TestRootMap:
         # d < 0 < R with d^2 far above |D|, so d + sqrt(R) cancels almost all
         # of its bits; the root map forms it as D / (d - sqrt(R)) instead.
         params, _ = construct_example(p, D, u)
-        low = numeric._root_map_once(params, 256)
-        high = numeric._root_map_once(params, 512)
-        for lo, hi in zip(low, high):
-            numeric._check_agreement(lo, hi, 256)
-        # Values at scale 2^544: |v - u| < 2^-200 |u|.
-        target = u * 2**544
-        assert min((re - target) ** 2 + im * im for re, im in high) < (u * 2**344) ** 2
+        balls = numeric._root_map_once(params, 256)
+        for re, im, r in balls:
+            numeric._check_radius(r, math.isqrt(re * re + im * im), -288, 256)
+        # Values at scale 2^288: |v - u| < 2^-200 |u|.
+        target = u * 2**288
+        assert min((re - target) ** 2 + im * im for re, im, _ in balls) < (u * 2**88) ** 2
 
     def test_verify_root_map_on_cancelling_sum(self):
         params, _ = construct_example(11, -6, 15)
@@ -498,16 +498,17 @@ class TestRootMap:
 
     @pytest.mark.parametrize("args", [(7, -2158, 4656966), (3, -7, 50), (5, 2, 5)])
     def test_values_off_the_zeros_fail_the_residual(self, monkeypatch, args):
-        # The same shift of 2^-(B - 64) (1 + |u|) at B and 2B passes the gate,
-        # but puts every value 2^8 times the residual tolerance off its zero.
+        # A shift of 2^-(B - 64) (1 + |u|) that leaves every radius as it is
+        # passes the gate, but puts every value 2^8 times the residual
+        # tolerance off its zero.
         B = 256
         real = numeric._root_map_once
 
         def shifted(params, bits):
             one = 1 << (bits + numeric._GUARD)
             return [
-                (re + ((one + math.isqrt(re * re + im * im)) >> (B - 64)), im)
-                for re, im in real(params, bits)
+                (re + ((one + math.isqrt(re * re + im * im)) >> (B - 64)), im, r)
+                for re, im, r in real(params, bits)
             ]
 
         monkeypatch.setattr(numeric, "_root_map_once", shifted)
@@ -526,7 +527,7 @@ class TestRootMap:
 
         def last_bit_flipped(p, bits):
             newton, series, diff = real(p, bits)
-            return (newton[0] + 1, newton[1]), series, diff
+            return (newton[0] + 1, *newton[1:]), series, diff
 
         monkeypatch.setattr(numeric, "zeta_two_ways", last_bit_flipped)
         assert verify_root_map(*args)["values"] == values
@@ -589,16 +590,18 @@ def _mpmath_root_map_once(params, bits):
 
 
 def _root_map_oracle(p, d, R, bits):
-    """verify_root_map's gate and checks as mpmath arithmetic on the
-    reference root map's B and 2B values."""
+    """verify_root_map's gate and checks as mpmath arithmetic.  The gate asks
+    what the certified radius bounds: that each reference value at the
+    working precision, max(bits, 128) + 32, lie within 2^-(bits - 16) (1 + |u|)
+    of the reference at 4 bits.  The checks run on the values at 4 bits."""
     params = InstanceParams.create(p, d, R)
     f = trace_poly(params)
-    u_low = _mpmath_root_map_once(params, bits)
-    u_high = _mpmath_root_map_once(params, 2 * bits)
-    with mp.workprec(2 * bits + 32):
-        for lo, hi in zip(u_low, u_high):
+    u_work = _mpmath_root_map_once(params, max(bits, 128))
+    u_high = _mpmath_root_map_once(params, 4 * bits)
+    with mp.workprec(4 * bits + 32):
+        for lo, hi in zip(u_work, u_high):
             if abs(lo - hi) > TWO ** -(bits - 16) * (1 + abs(hi)):
-                raise PrecisionError("disagree")
+                raise PrecisionError("radius exceeds")
         tol = TWO ** -tolerance_exp(bits)
         f_num = f.map(to_mpf)
         abs_coeffs = [abs(c) for c in f_num.coeffs]
@@ -664,8 +667,13 @@ class TestRootMapAgainstMpmathOracle:
         for key in ("ok", "distinct"):
             assert got[key] == want[key]
         assert got["rational_root_distances"].keys() == want["rational_root_distances"].keys()
+        # Each distance within the radius certified for the u_k on that root,
+        # plus the unit that flooring the root to scale 2^prec may lose.
+        prec = max(bits, 128) + numeric._GUARD
+        balls = numeric._root_map_once(params, max(bits, 128))
         for r, dist in want["rational_root_distances"].items():
-            assert abs(got["rational_root_distances"][r] - dist) <= F(1, 2 ** (2 * bits))
+            ball = min(balls, key=lambda b: (b[0] - F(r) * 2**prec) ** 2 + b[1] ** 2)
+            assert abs(got["rational_root_distances"][r] - dist) <= F(ball[2] + 1, 2**prec)
         want_dist = want["min_pairwise_distance"]
         assert abs(got["min_pairwise_distance"] - want_dist) <= want_dist / 2 ** (bits - 8)
         with mp.workprec(256):
@@ -689,14 +697,144 @@ class TestRootMapAgainstMpmathOracle:
         # d + sqrt(R) cancels about 655 bits; rational_roots cannot factor
         # the cleared trace polynomial, so only the root map itself runs.
         params, _ = construct_example(5, -3, -(10**20))
-        high = numeric._root_map_once(params, 2 * bits)
-        for lo, hi in zip(numeric._root_map_once(params, bits), high):
-            numeric._check_agreement(lo, hi, bits)
-        values = [numeric._complex_str(u, 2 * bits + numeric._GUARD) for u in high]
+        prec = bits + numeric._GUARD
+        balls = numeric._root_map_once(params, bits)
+        for re, im, r in balls:
+            numeric._check_radius(r, math.isqrt(re * re + im * im), -prec, bits)
+        values = [numeric._complex_str(u[:2], prec) for u in balls]
         assert _printed(values) == _reference_values(params, bits)
         assert "(-100000000000000000000.0 + 0.0j)" in values
         with pytest.raises(FactorizationError):
             verify_root_map(5, params.d, params.R, bits)
+
+
+def assert_balls_hold(balls, params, bits):
+    """Each Gaussian ball (re, im, r) at scale 2^(bits + 32) holds its u_k as
+    the reference root map gives it at 4 * bits."""
+    prec = bits + numeric._GUARD
+    truth = _mpmath_root_map_once(params, 4 * bits)
+    with mp.workprec(4 * bits + 32):
+        for k, (ball, u) in enumerate(zip(balls, truth, strict=True)):
+            gap = abs(gauss(ball, prec) - u)
+            assert gap <= ball[2] * TWO**-prec + abs(u) * TWO ** -(3 * bits), (params, bits, k)
+
+
+def assert_zeta_holds(ball, p, prec):
+    """The Gaussian ball at scale 2^prec holds e^(2 pi i / p)."""
+    with mp.workprec(4 * prec):
+        assert abs(gauss(ball, prec) - mp.expjpi(mpf(2) / p)) <= ball[2] * TWO**-prec, (p, prec)
+
+
+class TestRootMapBalls:
+    """The root map's Gaussian balls hold the values they stand for."""
+
+    @settings(deadline=None)
+    @given(_instances, st.sampled_from([64, 256, 1024]))
+    def test_balls_hold_the_root_map(self, instance, bits):
+        params = _planted(*instance)
+        assert_balls_hold(numeric._root_map_once(params, bits), params, bits)
+        assert_zeta_holds(zeta_two_ways(params.p, bits)[0], params.p, bits + numeric._GUARD)
+
+    @pytest.mark.parametrize("bits", [256, 1024])
+    @pytest.mark.parametrize(
+        "args", [(5, -3, -(10**20)), (61, 5, 3)], ids=["cancels-655-bits", "p61-R-negative"]
+    )
+    def test_balls_hold_where_the_root_search_cannot_factor(self, args, bits):
+        params, _ = construct_example(*args)
+        assert_balls_hold(numeric._root_map_once(params, bits), params, bits)
+        with pytest.raises(FactorizationError):
+            verify_root_map(params.p, params.d, params.R, bits)
+
+    @pytest.mark.parametrize("bits", [256, 1024])
+    def test_balls_hold_through_verify_root_map(self, monkeypatch, bits):
+        params, _ = construct_example(61, -5, 2)
+        real, seen = numeric._root_map_once, []
+
+        def recording(params, bits):
+            seen.append(real(params, bits))
+            return seen[-1]
+
+        monkeypatch.setattr(numeric, "_root_map_once", recording)
+        assert verify_root_map(61, params.d, params.R, bits)["ok"]
+        assert_balls_hold(seen[0], params, bits)
+
+    @pytest.mark.parametrize("bits,work", [(57, 128), (256, 256), (1024, 1024)])
+    def test_one_root_map_and_one_zeta_per_call(self, monkeypatch, bits, work):
+        # One pass at the working precision max(bits, 128): no second map.
+        calls = []
+        for name in ("_root_map_once", "zeta_two_ways"):
+            real = getattr(numeric, name)
+
+            def counting(arg, b, real=real, name=name):
+                calls.append((name, b))
+                return real(arg, b)
+
+            monkeypatch.setattr(numeric, name, counting)
+        verify_root_map(7, -2158, 4656966, bits)
+        assert sorted(calls) == [("_root_map_once", work), ("zeta_two_ways", work)]
+
+    @pytest.mark.parametrize("offset", [0, 2**20, 2**100])
+    @pytest.mark.parametrize("p", [3, 7, 13, 61])
+    def test_newton_radius_covers_a_moved_point(self, p, offset):
+        # The radius bounds the distance to a zero from wherever the point
+        # is: zeta moved by `offset` units of 2^-288 in each part.
+        zeta = zeta_two_ways(p, 256)[0]
+        moved = (zeta[0] + offset, zeta[1] - offset)
+        assert_zeta_holds(numeric._root_ball(moved, (1 << 288, 0, 0), p, 288), p, 288)
+
+    @pytest.mark.parametrize("p", [3, 7, 13])
+    def test_newton_radius_covers_the_radius_of_v(self, p):
+        # v's midpoint is 2^-200 off 1 and its radius says so: the ball must
+        # still hold zeta, a zero of w^p - 1.
+        v = ((1 << 288) + (1 << 88), 0, (1 << 88) + 1)
+        assert_zeta_holds(numeric._unit_root(v, p, 288, 2 * math.pi / p), p, 288)
+
+    @pytest.mark.parametrize("args", [(7, -2, 4), (13, -5, 2), (9, 7, 3), (7, 5, -3)])
+    def test_balls_hold_around_a_moved_zeta(self, monkeypatch, args):
+        # zeta moved by 2^-200 with its radius grown by just as much: zeta^k
+        # moves by about k 2^-200, so only radii grown through the powers
+        # hold every u_k.
+        params, _ = construct_example(*args)
+        real = numeric.zeta_two_ways
+
+        def moved(p, bits):
+            (re, im, r), series, diff = real(p, bits)
+            off = 1 << (bits + numeric._GUARD - 200)
+            return (re + off, im, r + off), series, diff
+
+        monkeypatch.setattr(numeric, "zeta_two_ways", moved)
+        assert_balls_hold(numeric._root_map_once(params, 256), params, 256)
+
+    @pytest.mark.parametrize("args", [(7, -2, 4), (11, -6, 15), (9, 7, 3), (7, 5, -3)])
+    def test_balls_hold_with_moved_leaves(self, monkeypatch, args):
+        # Every rational leaf moved by 2^-60 of itself, inside a radius grown
+        # by as much: the enclosures of d, R, D, sqrt(D) and v are wide, and
+        # the u_k balls must widen with them.
+        params, _ = construct_example(*args)
+        real = numeric._leaf
+
+        def moved(q, prec):
+            m, r, e = real(q, prec)
+            return m + (abs(m) >> 60), r + (abs(m) >> 60), e
+
+        monkeypatch.setattr(numeric, "_leaf", moved)
+        assert_balls_hold(numeric._root_map_once(params, 256), params, 256)
+
+    def test_moved_zeta_fails_the_gate(self, monkeypatch):
+        # zeta moved by 2^-(B - 24) with the radius certified for the moved
+        # point: some u_k radius then exceeds the tolerance 2^-(B - 16) (1 + |u|).
+        B = 256
+        real = numeric.zeta_two_ways
+
+        def moved(p, bits):
+            newton, series, diff = real(p, bits)
+            prec = bits + numeric._GUARD
+            point = (newton[0] + (1 << (prec - B + 24)), newton[1])
+            return numeric._root_ball(point, (1 << prec, 0, 0), p, prec), series, diff
+
+        monkeypatch.setattr(numeric, "zeta_two_ways", moved)
+        with pytest.raises(PrecisionError, match="radius exceeds"):
+            verify_root_map(7, -2158, 4656966, B)
 
 
 class TestHelpers:
@@ -735,55 +873,34 @@ class TestHelpers:
         assert decimal_str(q) == text
 
 
-# The agreement gate accepts a B/2B pair when |low - high| <= 2^-(B - 16) (1 + |high|).
+# The gate accepts a value whose radius is at most 2^-(B - 16) (1 + |v|).
 GATE_BITS = 256
 GATE_CASES = pytest.mark.parametrize(
     "shift,raises", [(20, True), (12, False)], ids=["above-tolerance", "below-tolerance"]
 )
 
 
-def _perturb_2b(monkeypatch, name, shift):
-    """Make numeric.<name>(arg, bits) move its 2B values v by
-    2^-(B - shift) (1 + |v|): 16 times the gate's tolerance for shift = 20,
-    1/16 of it for shift = 12."""
-    real = getattr(numeric, name)
-
-    def perturbed(arg, bits):
-        out = real(arg, bits)
-        if bits != 2 * GATE_BITS:
-            return out
-        one = 1 << (bits + numeric._GUARD)
-        return [
-            (re + ((one + math.isqrt(re * re + im * im)) >> (GATE_BITS - shift)), im)
-            for re, im in out
-        ]
-
-    monkeypatch.setattr(numeric, name, perturbed)
-
-
 class TestCheckAgreement:
-    """The one B/2B gate, called directly: a difference of
-    2^-(B - 16) (1 + |high|) times 1 + 2^-4 raises, times 1 - 2^-4 passes."""
+    """The one precision gate, called directly on a Gaussian ball at the root
+    map's working scale: a radius of 2^-(B - 16) (1 + |u|) times 1 + 2^-4
+    raises, times 1 - 2^-4 passes."""
 
     @pytest.mark.parametrize("factor,raises", [(F(17, 16), True), (F(15, 16), False)])
     @pytest.mark.parametrize("magnitude", [F(0), F(1), F(2**100), F(1, 2**300)])
     @pytest.mark.parametrize("bits", [64, 256, 1024])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_threshold(self, kind, bits, magnitude, factor, raises):
-        gap = F(1, 2 ** (bits - 16)) * (1 + magnitude) * factor
-        if kind == "real":
-            high, low = (magnitude, F(0)), (magnitude - gap, F(0))
-        else:
-            # |high| = magnitude along (3 + 4i)/5; the gap at right angles.
-            high = (magnitude * F(3, 5), magnitude * F(4, 5))
-            low = (high[0] - gap * F(4, 5), high[1] + gap * F(3, 5))
-        # The gate's scales; flooring moves low by 2^-48 of the gap at most.
-        high, low = at_scale(high, 2 * bits + 32), at_scale(low, bits + 32)
+        radius = F(1, 2 ** (bits - 16)) * (1 + magnitude) * factor
+        # |u| = magnitude on the real axis or along (3 + 4i)/5.
+        mid = (magnitude, F(0)) if kind == "real" else (magnitude * F(3, 5), magnitude * F(4, 5))
+        prec = max(bits, 128) + numeric._GUARD
+        (re, im), r = at_scale(mid, prec), math.ceil(radius * 2**prec)
+        args = (r, math.isqrt(re * re + im * im), -prec, bits)
         if raises:
-            with pytest.raises(PrecisionError, match="disagree"):
-                numeric._check_agreement(low, high, bits)
+            with pytest.raises(PrecisionError, match="radius exceeds"):
+                numeric._check_radius(*args)
         else:
-            numeric._check_agreement(low, high, bits)
+            numeric._check_radius(*args)
 
 
 class TestAgreementGate:
@@ -808,9 +925,19 @@ class TestAgreementGate:
 
     @GATE_CASES
     def test_verify_root_map(self, monkeypatch, shift, raises):
-        _perturb_2b(monkeypatch, "_root_map_once", shift)
+        # The root map's bound is the same: widen every u_k's radius likewise.
+        real = numeric._root_map_once
+
+        def widened(params, bits):
+            one = 1 << (bits + numeric._GUARD)
+            return [
+                (re, im, r + ((one + math.isqrt(re * re + im * im)) >> (GATE_BITS - shift)))
+                for re, im, r in real(params, bits)
+            ]
+
+        monkeypatch.setattr(numeric, "_root_map_once", widened)
         if raises:
-            with pytest.raises(PrecisionError, match="disagree"):
+            with pytest.raises(PrecisionError, match="radius exceeds"):
                 verify_root_map(7, -2158, 4656966, GATE_BITS)
         else:
             assert verify_root_map(7, -2158, 4656966, GATE_BITS)["ok"]
