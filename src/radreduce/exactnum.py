@@ -61,8 +61,8 @@ def tolerance(bits: int, tol_exp: int | None = None) -> Fraction:
 
 class PrecisionError(ArithmeticError):
     """A numeric result is undecided at the working precision: an enclosure
-    too wide or holding 0 where a sign is needed, or two routes to a root of
-    unity that disagree beyond tolerance."""
+    too wide or holding 0 where a sign is needed, or a Newton root whose
+    power balls do not decide which zero it is."""
 
 
 class FactorizationError(ValueError):

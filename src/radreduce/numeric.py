@@ -34,8 +34,8 @@ or k + h + 1 when d + sqrt(R) < 0 and y is its real root times zeta^(h+1):
 u_k = (w + D/w) cos(2 pi k'/p) + i (w - D/w) sin(2 pi k'/p), real exactly at
 k' = 0.  If R < 0, then D > 0 and d + i sqrt(-R) = sqrt(D) v with |v| = 1, so
 w_k = sqrt(D) e zeta^k for the principal root e of w^p - v, found by Newton,
-and every u_k = w_k + conj(w_k) is real.  zeta is the Newton root of w^p - 1,
-cross-checked against mpmath cosine/sine.  Two more radius rules:
+and every u_k = w_k + conj(w_k) is real.  zeta is the Newton root of w^p - 1.
+Two more radius rules:
 * Gaussian mul: the mul rule with |m| <= isqrt(re^2 + im^2) + 1, plus 1 for
   each part's floor.  A part of a Gaussian ball is a real ball of the same
   radius, as |Re z|, |Im z| <= |z|.
@@ -44,16 +44,27 @@ cross-checked against mpmath cosine/sine.  Two more radius rules:
   F = x^p - v, v within r_v of its midpoint, and t the floored w^p, within E
   of it: rho = (|t - v| + E + r_v) / |w|^(p-1).  Below 2^-8 < sin(pi/61), half
   the spacing of the zeros when |v| = 1, the disk holds exactly one.
+Which zero a Newton ball holds is decided from the balls of its powers:
+* zeta: the ball holds one zero w = e^(2 pi i j/p), 0 <= j < p, and the power
+  balls hold w^k.  Im zeta - r > 0 gives 1 <= j < p/2.  If g = gcd(j, p) > 1,
+  k = p/g is in [2, p - 2] and Re w^k = 1; if g = 1 and j > 1, k = j^-1 mod p
+  is in [2, p - 2] and Re w^k = cos(2 pi/p) >= Re w.  Both contradict
+  Re zeta - r > Re zeta^k + r_k for 2 <= k <= p - 2, so j = 1.  For p = 3
+  that range is empty, and Im > 0 alone decides.
+* e: the principal root has argument theta/p with |theta| < pi (theta = pi
+  would need v = -1, that is d^2 = D, so R = 0).  Every other e zeta^k has
+  |argument| > pi/p, so a smaller real part: Re e - r > Re(e zeta^k) + r_k
+  for 1 <= k <= p - 1 decides e.
 `verify_root_map` builds the map once, at max(B, 128) + 32 bits, and holds
-each radius to `eval_dual`'s tolerance.  Only `zeta_two_ways` (that
-cosine/sine) and `_to_mpf` (the mpf that `eval_dual` returns) import mpmath.
+each radius to `eval_dual`'s tolerance.  Only `_to_mpf` (the mpf that
+`eval_dual` returns) imports mpmath.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 from . import exprtree as et
@@ -61,7 +72,7 @@ from .construct import InstanceParams, trace_poly
 from .exactnum import DEFAULT_BITS, PrecisionError, integer_nth_root, tolerance
 from .poly import rational_roots
 
-# Radii, and the two routes to zeta, are accepted to 2^-(B - 16) (1 + |v|).
+# Radii are accepted to 2^-(B - 16) (1 + |v|).
 AGREEMENT_MARGIN_BITS = 16
 _GUARD = 32
 # Largest p that verify_root_map accepts.
@@ -315,36 +326,29 @@ def _unit_root(v, p: int, prec: int, angle: float) -> tuple[int, int, int]:
     return ball
 
 
+@lru_cache(maxsize=16)
 def zeta_two_ways(p: int, bits: int = DEFAULT_BITS):
-    """(newton, series, diff): a primitive p-th root of unity at scale
-    2^(bits + 32), as a Gaussian ball (re, im, r) by `_unit_root` on w^p - 1
-    and as a fixed-point pair (re, im) by mpmath cosine/sine, and the distance
-    of the midpoints as a Fraction.  Raises PrecisionError if the routes
-    disagree beyond 2^-(bits - 16)."""
-    from mpmath import mp
-    from mpmath.libmp import to_fixed
-
+    """(zeta, powers): e^(2 pi i/p) at scale 2^(bits + 32) as a Gaussian ball
+    (re, im, r), by `_unit_root` on w^p - 1, and the tuple of its powers
+    zeta^0 .. zeta^(p-1) by `_gmul`.  Raises PrecisionError, naming the power,
+    unless the balls decide that zeta is e^(2 pi i/p) (module docstring)."""
     prec = bits + _GUARD
-    newton = _unit_root((1 << prec, 0, 0), p, prec, 2 * math.pi / p)
-    with mp.workprec(prec):
-        angle = 2 * mp.pi / p
-        series = (to_fixed(mp.cos(angle)._mpf_, prec), to_fixed(mp.sin(angle)._mpf_, prec))
-    dist2 = (newton[0] - series[0]) ** 2 + (newton[1] - series[1]) ** 2
-    diff = Fraction(math.isqrt(dist2), 1 << prec)
-    if dist2 > 1 << 2 * (prec - bits + AGREEMENT_MARGIN_BITS):
-        raise PrecisionError(
-            f"root-of-unity routes disagree by {float(diff):.6g} at {bits} bits"
-        )
-    return newton, series, diff
+    zeta, powers = _unit_root((1 << prec, 0, 0), p, prec, 2 * math.pi / p), [(1 << prec, 0, 0)]
+    for _ in range(p - 1):
+        powers.append(_gmul(powers[-1], zeta, prec))
+    if zeta[1] <= zeta[2]:
+        raise PrecisionError(f"Im zeta^1 > 0 undecided for p = {p} at {bits} bits")
+    for k in range(2, p - 1):
+        if zeta[0] - zeta[2] <= powers[k][0] + powers[k][2]:
+            raise PrecisionError(f"Re zeta^1 > Re zeta^{k} undecided for p = {p} at {bits} bits")
+    return zeta, tuple(powers)
 
 
 def _root_map_once(params: InstanceParams, bits: int) -> list[tuple[int, int, int]]:
     """The p values u_k = w_k + D / w_k of the module docstring, as Gaussian
     balls (re, im, r) at scale 2^(bits + 32)."""
     p, d, R, D, prec = params.p, params.d, params.R, params.D, bits + _GUARD
-    zeta, powers = zeta_two_ways(p, bits)[0], [(1 << prec, 0, 0)]
-    for _ in range(p - 1):
-        powers.append(_gmul(powers[-1], zeta, prec))
+    powers = zeta_two_ways(p, bits)[1]
     if R < 0:
         # u_k = 2 sqrt(D) Re(e zeta^k) for e^p = v = (d + i sqrt(-R)) / sqrt(D).
         m, r, ex = root = _root(_leaf(D, prec), 2, prec)
@@ -352,7 +356,10 @@ def _root_map_once(params: InstanceParams, bits: int) -> list[tuple[int, int, in
         v = _gauss(v_re, _root(_leaf(-R / D, prec), 2, prec), prec)
         e = _unit_root(v, p, prec, math.atan2(v[1] / (1 << prec), v[0] / (1 << prec)) / p)
         # The radius of e zeta^k bounds the error of its real part.
-        parts = ((g[0], g[2], -prec) for g in (_gmul(e, zk, prec) for zk in powers))
+        parts = [(g[0], g[2], -prec) for g in (_gmul(e, zk, prec) for zk in powers)]
+        for k in range(1, p):
+            if e[0] - e[2] <= parts[k][0] + parts[k][1]:
+                raise PrecisionError(f"Re e > Re e zeta^{k} undecided for p = {p} at {bits} bits")
         return [_gauss(_mul((m, r, ex + 1), x, prec), (0, 0, 0), prec) for x in parts]
     h, root = (p - 1) // 2, _root(_leaf(R, prec), 2, prec)
     if d < 0:
@@ -384,8 +391,8 @@ def verify_root_map(p: int, d, R, bits: int = DEFAULT_BITS, tol_exp: int | None 
     below `exactnum.tolerance` (by default 2^-(bits - 56)).  Values print to
     30 digits, with imaginary part exactly 0 where u_k is real by
     construction.  Limited to p <= ROOT_MAP_MAX_P = 61:
-    construct_example(61, -5, 2) takes about 39 ms at 256 bits (30 ms of it
-    the rational-root search) and 68 ms at 1024 bits on a 2-CPU Xeon.
+    construct_example(61, -5, 2), with zeta cached, takes about 43 ms at 256
+    bits (34 ms of it the rational-root search) and 77 ms at 1024 on a 2-CPU Xeon.
     """
     if p > ROOT_MAP_MAX_P:
         raise ValueError(f"p = {p} exceeds ROOT_MAP_MAX_P = {ROOT_MAP_MAX_P}")

@@ -1,7 +1,6 @@
 """What a fresh process imports: each subcommand loads only what it runs, and
 no CLI command loads mpmath; the package namespace resolves lazily.  In the
-source, only `numeric.zeta_two_ways` (its cosine/sine route to the root of
-unity) and `numeric._to_mpf` (the mpf that `eval_dual` returns) import
+source, only `numeric._to_mpf` (the mpf that `eval_dual` returns) imports
 mpmath."""
 
 import ast
@@ -72,7 +71,7 @@ def test_numeric_commands_do_not_load_mpmath(argv):
     assert "mpmath" not in loaded
 
 
-def test_mpmath_is_imported_only_by_the_two_numeric_functions():
+def test_mpmath_is_imported_only_by_to_mpf():
     importers = set()
     for path in sorted((SRC / "radreduce").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -88,7 +87,7 @@ def test_mpmath_is_imported_only_by_the_two_numeric_functions():
                 continue
             owner = [f.name for f in functions if node in ast.walk(f)]
             importers.add(f"{path.stem}.{owner[-1] if owner else '<module>'}")
-    assert importers == {"numeric.zeta_two_ways", "numeric._to_mpf"}
+    assert importers == {"numeric._to_mpf"}
 
 
 def test_coeffs_loads_only_its_modules():

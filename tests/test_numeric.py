@@ -3,8 +3,8 @@ import hashlib
 import math
 import types
 from fractions import Fraction
+from unittest import mock
 
-import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -375,54 +375,85 @@ class TestEnclosures:
         assert r << (bits + 8) <= abs(m)
 
 
-class TestZetaTwoWays:
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-    def test_routes_agree(self, p):
-        newton, series, diff = zeta_two_ways(p, 256)
-        assert diff < F(1, 2**240)
-        with mp.workprec(300):
-            assert abs(gauss(newton, 288) ** p - 1) < TWO**-250
+@pytest.fixture
+def fresh_zeta():
+    """Empty zeta's cache before and after a test that patches what zeta is
+    built from, so that no cached ball stands in for the one it builds."""
+    numeric.zeta_two_ways.cache_clear()
+    yield
+    numeric.zeta_two_ways.cache_clear()
 
-    @pytest.mark.parametrize("bits", [1024, 2048])
-    @pytest.mark.parametrize("p", [3, 13])
+
+def named_power(j, p):
+    """The power that the zeta rule names for a ball of zeta^j: 1 unless
+    Im zeta^j > 0, else the first k in [2, p - 2] with Re zeta^(jk) >=
+    Re zeta^j, that is with jk no farther from 0 mod p than j."""
+    arc = lambda x: min(x % p, -x % p)  # noqa: E731
+    if not 0 < j % p < p / 2:
+        return 1
+    return next(k for k in range(2, p - 1) if arc(j * k) <= arc(j))
+
+
+def rule_message(k):
+    return r"Im zeta\^1 > 0 undecided" if k == 1 else rf"Re zeta\^1 > Re zeta\^{k} undecided"
+
+
+class TestZetaTwoWays:
+    """The Newton route against the mpmath oracle e^(2 pi i/p), and the
+    zeta rule against balls of the other zeros of w^p - 1."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 61])
+    def test_routes_agree(self, p):
+        zeta, powers = zeta_two_ways(p, 256)
+        assert_zeta_holds(zeta, p, 288)
+        # A radius of at most 2^-(B - 16), eval_dual's tolerance.
+        assert zeta[2] < 2**48
+        assert isinstance(powers, tuple) and len(powers) == p
+        for k, ball in enumerate(powers):
+            assert_zeta_holds(ball, p, 288, k)
+
+    @pytest.mark.parametrize("bits", [256, 1024, 2048])
+    @pytest.mark.parametrize("p", [3, 13, 61])
     def test_routes_agree_at_high_precision(self, p, bits):
-        newton, series, diff = zeta_two_ways(p, bits)
-        assert diff < F(1, 2 ** (bits - 16))
-        with mp.workprec(bits + 44):
-            assert abs(gauss(newton, bits + 32) ** p - 1) < TWO ** -(bits - 6)
+        zeta, powers = zeta_two_ways(p, bits)
+        assert_zeta_holds(zeta, p, bits + 32)
+        assert zeta[2] < 2**48
+        assert_zeta_holds(powers[-1], p, bits + 32, p - 1)
+        assert powers == zeta_powers(zeta, p, bits + 32)
 
     @pytest.mark.parametrize("p", range(3, 14))
     def test_routes_agree_without_the_ladder(self, p):
         # At 64 + 32 bits there is no ladder: every step runs at full precision.
-        newton, series, diff = zeta_two_ways(p, 64)
-        assert diff < F(1, 2**48)
+        zeta = zeta_two_ways(p, 64)[0]
+        assert_zeta_holds(zeta, p, 96)
+        assert zeta[2] < 2**48
         with mp.workprec(128):
-            newton = gauss(newton, 96)
-            assert abs(newton**p - 1) < TWO**-80
-            assert abs(newton - mp.expjpi(mpf(2) / p)) < TWO**-80
-
-    @pytest.mark.parametrize("factor,raises", [(F(17, 16), True), (F(15, 16), False)])
-    def test_disagreement_threshold(self, monkeypatch, factor, raises):
-        # Move the cosine route by factor * 2^-(B - 16): the routes must
-        # then disagree exactly when the factor is above 1.
-        offset = mpf(factor.numerator) / factor.denominator * TWO**-240
-        fake_mp = types.SimpleNamespace(
-            workprec=mp.workprec, pi=mp.pi, sin=mp.sin, cos=lambda x: mp.cos(x) + offset
-        )
-        monkeypatch.setattr(mpmath, "mp", fake_mp)
-        if raises:
-            with pytest.raises(PrecisionError, match="disagree"):
-                zeta_two_ways(7, 256)
-        else:
-            assert abs(zeta_two_ways(7, 256)[2] - factor / 2**240) < F(1, 2**280)
+            assert abs(gauss(zeta, 96) ** p - 1) < TWO**-80
 
     @pytest.mark.parametrize("p", [3, 7, 13])
-    def test_newton_on_zeta_squared_disagrees(self, monkeypatch, p):
+    def test_newton_on_zeta_squared_disagrees(self, monkeypatch, fresh_zeta, p):
         # A seed at angle 4 pi / p makes Newton converge to zeta^2, also a
-        # root of w^p - 1: only the cosine/sine route can catch it.
+        # root of w^p - 1: the balls of its powers must show it is not zeta.
         doubled = {"cos": lambda x: math.cos(2 * x), "sin": lambda x: math.sin(2 * x)}
         monkeypatch.setattr(numeric, "math", types.SimpleNamespace(**{**vars(math), **doubled}))
-        with pytest.raises(PrecisionError, match="disagree"):
+        with pytest.raises(PrecisionError, match=rule_message(named_power(2, p))):
+            zeta_two_ways(p, 256)
+
+    @pytest.mark.parametrize(
+        "p,j",
+        [(3, 2), (7, 2), (13, 2), (5, 4), (7, 6), (13, 12), (7, 3), (7, 4), (13, 5), (13, 8), (9, 3)],
+    )
+    def test_ball_of_another_zero_is_rejected(self, monkeypatch, fresh_zeta, p, j):
+        # zeta replaced by the certified ball about zeta^j: zeta^2, the
+        # conjugate zeta^(p - 1), zeta^j for j coprime to p, or a root of
+        # unity of lower order (zeta^3 at p = 9).
+        prec = 256 + numeric._GUARD
+        one = (1 << prec, 0, 0)
+        other = numeric._root_ball(zeta_two_ways(p, 256)[1][j][:2], one, p, prec)
+        assert_zeta_holds(other, p, prec, j)
+        numeric.zeta_two_ways.cache_clear()
+        monkeypatch.setattr(numeric, "_unit_root", lambda v, p, prec, angle: other)
+        with pytest.raises(PrecisionError, match=rule_message(named_power(j, p))):
             zeta_two_ways(p, 256)
 
 
@@ -526,8 +557,9 @@ class TestRootMap:
         real = numeric.zeta_two_ways
 
         def last_bit_flipped(p, bits):
-            newton, series, diff = real(p, bits)
-            return (newton[0] + 1, *newton[1:]), series, diff
+            zeta = real(p, bits)[0]
+            zeta = (zeta[0] + 1, *zeta[1:])
+            return zeta, zeta_powers(zeta, p, bits + numeric._GUARD)
 
         monkeypatch.setattr(numeric, "zeta_two_ways", last_bit_flipped)
         assert verify_root_map(*args)["values"] == values
@@ -719,10 +751,19 @@ def assert_balls_hold(balls, params, bits):
             assert gap <= ball[2] * TWO**-prec + abs(u) * TWO ** -(3 * bits), (params, bits, k)
 
 
-def assert_zeta_holds(ball, p, prec):
-    """The Gaussian ball at scale 2^prec holds e^(2 pi i / p)."""
+def assert_zeta_holds(ball, p, prec, k=1):
+    """The Gaussian ball at scale 2^prec holds e^(2 pi i k / p)."""
     with mp.workprec(4 * prec):
-        assert abs(gauss(ball, prec) - mp.expjpi(mpf(2) / p)) <= ball[2] * TWO**-prec, (p, prec)
+        truth = mp.expjpi(mpf(2 * k) / p)
+        assert abs(gauss(ball, prec) - truth) <= ball[2] * TWO**-prec, (p, prec, k)
+
+
+def zeta_powers(zeta, p, prec):
+    """zeta^0 .. zeta^(p-1) by the `_gmul` chain that `zeta_two_ways` uses."""
+    powers = [(1 << prec, 0, 0)]
+    for _ in range(p - 1):
+        powers.append(numeric._gmul(powers[-1], zeta, prec))
+    return tuple(powers)
 
 
 class TestRootMapBalls:
@@ -773,6 +814,70 @@ class TestRootMapBalls:
         verify_root_map(7, -2158, 4656966, bits)
         assert sorted(calls) == [("_root_map_once", work), ("zeta_two_ways", work)]
 
+    def test_zeta_is_built_once_per_precision(self, monkeypatch, fresh_zeta):
+        # zeta and its powers come from the cache after the first call at a
+        # precision: one Newton run on w^7 - 1 for three calls at 256 bits,
+        # and one more for the first call at 1024.
+        real, runs = numeric._unit_root, []
+
+        def counting(v, p, prec, angle):
+            if v[:2] == (1 << prec, 0):
+                runs.append((p, prec))
+            return real(v, p, prec, angle)
+
+        monkeypatch.setattr(numeric, "_unit_root", counting)
+        for _ in range(3):
+            verify_root_map(7, -2158, 4656966, 256)
+        assert runs == [(7, 288)]
+        verify_root_map(7, -2158, 4656966, 1024)
+        assert runs == [(7, 288), (7, 1056)]
+        assert numeric.zeta_two_ways.cache_info().maxsize == 16
+        assert type(zeta_two_ways(7, 1024)[1]) is tuple and len(runs) == 2
+
+    @pytest.mark.parametrize("args", [(9, 7, 3), (7, 5, -3), (5, 13, 1), (7, 3, -1)])
+    def test_e_times_zeta_is_rejected(self, monkeypatch, fresh_zeta, args):
+        # e replaced by the certified ball about e zeta, another zero of
+        # w^p - v.  v has argument theta in (0, pi), as Im v = sqrt(-R / D) > 0,
+        # so e zeta^(p - 1) = e zeta^-1 at argument (theta - 2 pi)/p is the
+        # first power nearer the real axis than e zeta at (theta + 2 pi)/p.
+        params, _ = construct_example(*args)
+        assert params.R < 0
+        real = numeric._unit_root
+
+        def turned(v, p, prec, angle):
+            ball = real(v, p, prec, angle)
+            if v[:2] == (1 << prec, 0):
+                return ball
+            zeta = real((1 << prec, 0, 0), p, prec, 2 * math.pi / p)
+            return numeric._root_ball(numeric._gmul(ball, zeta, prec)[:2], v, p, prec)
+
+        monkeypatch.setattr(numeric, "_unit_root", turned)
+        k = params.p - 2
+        with pytest.raises(PrecisionError, match=rf"Re e > Re e zeta\^{k} undecided"):
+            numeric._root_map_once(params, 256)
+
+    @settings(deadline=None)
+    @given(_instances, st.sampled_from([64, 256, 1024]))
+    def test_e_rule_holds_and_e_is_the_principal_root(self, instance, bits):
+        params = _planted(*instance)
+        assume(params.R < 0)
+        numeric.zeta_two_ways.cache_clear()
+        real, seen = numeric._unit_root, []
+
+        def recording(v, p, prec, angle):
+            ball = real(v, p, prec, angle)
+            if v[:2] != (1 << prec, 0):
+                seen.append(ball)
+            return ball
+
+        with mock.patch.object(numeric, "_unit_root", recording):
+            assert len(numeric._root_map_once(params, bits)) == params.p
+        (e,) = seen
+        prec, d, R, D = bits + numeric._GUARD, params.d, params.R, params.D
+        with mp.workprec(4 * prec):
+            v = mpc(to_mpf(d), mp.sqrt(to_mpf(-R))) / mp.sqrt(to_mpf(D))
+            assert abs(gauss(e, prec) - mp.root(v, params.p)) <= e[2] * TWO**-prec
+
     @pytest.mark.parametrize("offset", [0, 2**20, 2**100])
     @pytest.mark.parametrize("p", [3, 7, 13, 61])
     def test_newton_radius_covers_a_moved_point(self, p, offset):
@@ -798,9 +903,10 @@ class TestRootMapBalls:
         real = numeric.zeta_two_ways
 
         def moved(p, bits):
-            (re, im, r), series, diff = real(p, bits)
+            re, im, r = real(p, bits)[0]
             off = 1 << (bits + numeric._GUARD - 200)
-            return (re + off, im, r + off), series, diff
+            zeta = (re + off, im, r + off)
+            return zeta, zeta_powers(zeta, p, bits + numeric._GUARD)
 
         monkeypatch.setattr(numeric, "zeta_two_ways", moved)
         assert_balls_hold(numeric._root_map_once(params, 256), params, 256)
@@ -827,10 +933,10 @@ class TestRootMapBalls:
         real = numeric.zeta_two_ways
 
         def moved(p, bits):
-            newton, series, diff = real(p, bits)
-            prec = bits + numeric._GUARD
-            point = (newton[0] + (1 << (prec - B + 24)), newton[1])
-            return numeric._root_ball(point, (1 << prec, 0, 0), p, prec), series, diff
+            zeta, prec = real(p, bits)[0], bits + numeric._GUARD
+            point = (zeta[0] + (1 << (prec - B + 24)), zeta[1])
+            zeta = numeric._root_ball(point, (1 << prec, 0, 0), p, prec)
+            return zeta, zeta_powers(zeta, p, prec)
 
         monkeypatch.setattr(numeric, "zeta_two_ways", moved)
         with pytest.raises(PrecisionError, match="radius exceeds"):
