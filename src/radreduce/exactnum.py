@@ -106,6 +106,18 @@ def integer_nth_root(n: int, k: int) -> tuple[int, bool]:
         r = r_next
 
 
+def power(x, n: int, mul, one):
+    """x^n for n >= 0 by square-and-multiply: (x^2)^(n // 2), times x when n
+    is odd, with `mul` the product and `one` the result for n = 0.  Rounded
+    products (balls) depend on this order; ValueError for n < 0."""
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
+    if n <= 1:
+        return x if n else one
+    half = power(mul(x, x), n >> 1, mul, one)
+    return mul(half, x) if n & 1 else half
+
+
 def rational_is_square(q: Fraction) -> Fraction | None:
     """Nonnegative rational square root of q, or None when q is not a square."""
     if q < 0:
@@ -299,14 +311,7 @@ class QuadExt:
     def __pow__(self, n: int) -> "QuadExt":
         if n < 0:
             return self.inverse() ** (-n)
-        result = QuadExt(Fraction(1), Fraction(0), self.R)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, QuadExt.__mul__, QuadExt(Fraction(1), Fraction(0), self.R))
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)

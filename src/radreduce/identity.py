@@ -24,14 +24,14 @@ with the slot width N a multiple of 8 above a bound that holds for every
 coefficient of any input, corrupted ones included, and read the coefficients
 back as signed base-2^N digits; a digit that overflowed its slot raises
 ArithmeticError.  The sides of the fundamental identity are flattened once,
-at the input, into {(z, deg_d, deg_D): value} maps; they are multiplied,
-compared and read for the extraction checks in that form, and a ParamPoly is
-built only to render a failing witness.
+at the input, into {(z, deg_d, deg_D): value} maps; they are multiplied and
+compared in that form, and grouped by z for the extraction checks.  Each
+check that scans for a failing case reports the first one it finds, through
+`VerificationReport.first_failure`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .coeffs import (
@@ -71,16 +71,14 @@ class VerificationReport:
             raise ValueError("failing check requires a witness")
         self.checks.append(CheckResult(name, passed, witness))
 
+    def first_failure(self, name: str, failures, witness) -> None:
+        """Add the check `name`, failing at the first item of the iterable
+        `failures` (if any) with the witness `witness(item)`."""
+        bad = next(iter(failures), None)
+        self.add(name, bad is None, None if bad is None else witness(bad))
+
     def to_json(self) -> dict:
         return {"p": self.p, "ok": self.ok, "checks": [c.to_json() for c in self.checks]}
-
-
-def _first_poly_diff(left: Poly, right: Poly, var: str = "X") -> str:
-    for i in range(max(left.degree, right.degree) + 1):
-        lc, rc = left.coeff(i), right.coeff(i)
-        if lc != rc:
-            return f"{var}^{i}: left {lc}, right {rc}"
-    return "polynomials agree"
 
 
 def _expansion_sum(p: int, cs: list[int]) -> Poly:
@@ -140,11 +138,10 @@ def verify_expansion(p: int) -> VerificationReport:
 
     solved = system_C(p)
     closed = [coeff_c(p, half - k) for k in range(half + 1)]
-    bad = next((k for k, (s, c) in enumerate(zip(solved, closed)) if s != c), None)
-    report.add(
+    report.first_failure(
         "system-solution-matches-closed-form",
-        bad is None,
-        None if bad is None else f"index k={bad}: system {solved[bad]}, closed form {closed[bad]}",
+        (k for k, (s, c) in enumerate(zip(solved, closed)) if s != c),
+        lambda k: f"index k={k}: system {solved[k]}, closed form {closed[k]}",
     )
 
     sums: dict[tuple[int, ...], Poly] = {}
@@ -153,11 +150,11 @@ def verify_expansion(p: int) -> VerificationReport:
         if key not in sums:
             sums[key] = _expansion_sum(p, cs)
         got = sums[key]
-        ok = got == target
-        report.add(
+        slots = () if got == target else range(p + 1)
+        report.first_failure(
             f"expansion-reconstructs-with-{label}-coefficients",
-            ok,
-            None if ok else _first_poly_diff(got, target),
+            (i for i in slots if got.coeff(i) != target.coeff(i)),
+            lambda i: f"X^{i}: left {got.coeff(i)}, right {target.coeff(i)}",
         )
     return report
 
@@ -230,14 +227,14 @@ def verify_fundamental_identity(
     witness is the first differing monomial in (z, deg_d, deg_D) order."""
     report = VerificationReport(p)
     lhs, rhs = sides or fundamental_identity_sides(p, trace, sqrt_num, cofactor_num)
-    ok = lhs == rhs
-    witness = None
-    if not ok:
-        key = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k, 0) != rhs.get(k, 0))
-        z, a, b = key
-        left, right = lhs.get(key, 0), rhs.get(key, 0)
-        witness = f"Z^{z}: coefficient of d^{a}*D^{b}: left {left}, right {right}"
-    report.add("fundamental-identity", ok, witness)
+    keys = () if lhs == rhs else sorted(lhs.keys() | rhs.keys())
+    report.first_failure(
+        "fundamental-identity",
+        (k for k in keys if lhs.get(k, 0) != rhs.get(k, 0)),
+        lambda k: "Z^{}: coefficient of d^{}*D^{}: left {}, right {}".format(
+            *k, lhs.get(k, 0), rhs.get(k, 0)
+        ),
+    )
     degree = max((z for z, _, _ in lhs), default=-1)
     deg_ok = degree == 2 * p - 2
     report.add(
@@ -266,51 +263,24 @@ def verify_recurrences(p: int, sides: tuple[dict, dict] | None = None) -> Verifi
     t = {k: ccp[k - 1] for k in range(2, p)}
     u = {k: coeff_u(p, k) for k in range(1, p)}
 
-    bad = [k for k in range(1, p) if s[k] != u[k]]
-    report.add(
-        "s-equals-closed-form",
-        not bad,
-        None if not bad else f"k={bad[0]}: s={s[bad[0]]}, closed form {u[bad[0]]}",
-    )
-    bad = [k for k in range(2, p) if t[k] != u[k]]
-    report.add(
-        "t-equals-closed-form",
-        not bad,
-        None if not bad else f"k={bad[0]}: t={t[bad[0]]}, closed form {u[bad[0]]}",
-    )
+    for label, values, start in (("s", s, 1), ("t", t, 2)):
+        report.first_failure(
+            f"{label}-equals-closed-form",
+            (k for k in range(start, p) if values[k] != u[k]),
+            lambda k: f"k={k}: {label}={values[k]}, closed form {u[k]}",
+        )
 
-    bad = []
-    for k in range(1, p - 1):
-        ca, cb = s_recurrence_coeffs(p, k)
-        if ca * s[k + 1] + cb * s[k] != 0:
-            bad.append(k)
-    report.add(
-        "s-two-term-recurrence",
-        not bad,
-        None if not bad else f"fails at k={bad[0]}",
-    )
-
-    bad = []
-    for k in range(2, p - 2):
-        ca, cb, cc = t_recurrence_coeffs(p, k)
-        if ca * t[k + 2] + cb * t[k + 1] + cc * t[k] != 0:
-            bad.append(k)
-    report.add(
-        "t-three-term-recurrence",
-        not bad,
-        None if not bad else f"fails at k={bad[0]}",
-    )
-
-    bad = []
-    for k in range(1, p - 1):
-        ca, cb = s_recurrence_coeffs(p, k)
-        if ca * u[k + 1] + cb * u[k] != 0:
-            bad.append(k)
-    report.add(
-        "closed-form-satisfies-recurrence",
-        not bad,
-        None if not bad else f"fails at k={bad[0]}",
-    )
+    rs = {k: s_recurrence_coeffs(p, k) for k in range(1, p - 1)}
+    rt = {k: t_recurrence_coeffs(p, k) for k in range(2, p - 2)}
+    s_bad = (k for k, (a, b) in rs.items() if a * s[k + 1] + b * s[k])
+    t_bad = (k for k, (a, b, c) in rt.items() if a * t[k + 2] + b * t[k + 1] + c * t[k])
+    u_bad = (k for k, (a, b) in rs.items() if a * u[k + 1] + b * u[k])
+    for name, bad in (
+        ("s-two-term-recurrence", s_bad),
+        ("t-three-term-recurrence", t_bad),
+        ("closed-form-satisfies-recurrence", u_bad),
+    ):
+        report.first_failure(name, bad, "fails at k={}".format)
 
     # Extraction from the symbolic products: the Z^(2k) coefficient of At^2
     # must be the single monomial s_k * D^(p-1-k), and likewise t_k in f*Ft'.
@@ -318,16 +288,16 @@ def verify_recurrences(p: int, sides: tuple[dict, dict] | None = None) -> Verifi
     # its Z^(2k) coefficients are those of f*Ft'.
     sq, prod = sides or fundamental_identity_sides(p)
     for label, src, values in (("s", sq, s), ("t", prod, t)):
-        slot_sizes = Counter(z for z, _, _ in src)
-        bad_msg = None
-        for k in range(2, p):
-            v = values[k]
-            if slot_sizes[2 * k] != (1 if v else 0) or src.get((2 * k, 0, p - 1 - k), 0) != v:
-                got = ParamPoly({(a, b): w for (z, a, b), w in src.items() if z == 2 * k})
-                want = ParamPoly.monomial(v, 0, p - 1 - k)
-                bad_msg = f"Z^{2 * k}: extracted {got}, expected {want}"
-                break
-        report.add(f"{label}-symbolic-extraction", bad_msg is None, bad_msg)
+        slots: dict[int, dict] = {}
+        for (z, i, j), w in src.items():
+            slots.setdefault(z, {})[i, j] = w
+        want = {k: {(0, p - 1 - k): values[k]} if values[k] else {} for k in range(2, p)}
+        report.first_failure(
+            f"{label}-symbolic-extraction",
+            (k for k in range(2, p) if slots.get(2 * k, {}) != want[k]),
+            lambda k: f"Z^{2 * k}: extracted {ParamPoly(slots.get(2 * k))}, "
+            f"expected {ParamPoly(want[k])}",
+        )
     return report
 
 

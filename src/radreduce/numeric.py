@@ -10,18 +10,16 @@ P = bits + 32 bits; each radius rule covers every value the operands allow
 * truncation by 2^k: m = m' 2^k + t, 0 <= t < 2^k, so |x - m' 2^k| <= r + t
   and r' = ceil((r + t) / 2^k).  Add is exact on aligned exponents (radii add).
 * mul: xy - mn = m (y - n) + n (x - m) + (x - m)(y - n): |m| s + |n| r + r s.
-* integer power: square-and-multiply; a negative exponent takes the
-  reciprocal, |1/x - 1/m| = |x - m| / (|x| |m|) <= r / (|m| (|m| - r)) for
-  |m| > r, plus 1 for the floor of 2^k / m unless it is exact.
+* integer power: square-and-multiply (`exactnum.power`); a negative exponent
+  takes the reciprocal, |1/x - 1/m| = |x - m| / (|x| |m|) <= r / (|m| (|m| - r))
+  for |m| > r, plus 1 for the floor of 2^k / m unless it is exact.
 * square and odd real root (M = |m| > r; odd roots carry the sign): the floor
   root of M shifted to n P bits, by `math.isqrt` or `exactnum.integer_nth_root`,
   with radius ceil(r hi / (n (M - r))) + 1 for hi = floor root + 1, since
   |x^(1/n) - M^(1/n)| = |x - M| c^(1/n - 1) / n for some c >= M - r, and
   c^(1/n - 1) <= (M - r)^(1/n) / (M - r) <= hi / (M - r); the 1 is the floor.
 `eval_dual` returns the midpoint and raises PrecisionError if the radius
-exceeds 2^-(B - 16) (1 + |value|), the tolerance of the B/2B gate it replaces.
-That gate accepted a value this close to a second one computed at 2B bits, so
-it assumed the 2B value exact; the radius bounds the distance to the truth.
+exceeds 2^-(B - 16) (1 + |value|); the radius bounds the distance to the truth.
 
 The root map gives the p zeros of the trace polynomial as u_k = w_k + D/w_k,
 w_k = z^h y zeta^k, so that w_k^p = beta = D^h (d + sqrt(R)), h = (p-1)/2, for
@@ -69,11 +67,11 @@ from itertools import combinations
 
 from . import exprtree as et
 from .construct import InstanceParams, trace_poly
-from .exactnum import DEFAULT_BITS, PrecisionError, integer_nth_root, tolerance
+from .exactnum import DEFAULT_BITS, PrecisionError, integer_nth_root, power, tolerance
 from .poly import rational_roots
 
 # Radii are accepted to 2^-(B - 16) (1 + |v|).
-AGREEMENT_MARGIN_BITS = 16
+RADIUS_MARGIN_BITS = 16
 _GUARD = 32
 # Largest p that verify_root_map accepts.
 ROOT_MAP_MAX_P = 61
@@ -137,11 +135,8 @@ def _mul(a, b, prec: int):
 
 
 def _pow(a, n: int, prec: int):
-    """a^n for n >= 0, by square-and-multiply: (a^2)^(n // 2), times a if n is odd."""
-    if n <= 1:
-        return a if n else (1, 0, 0)
-    half = _pow(_mul(a, a, prec), n >> 1, prec)
-    return _mul(half, a, prec) if n & 1 else half
+    """a^n for n >= 0, by `exactnum.power`."""
+    return power(a, n, lambda x, y: _mul(x, y, prec), (1, 0, 0))
 
 
 def _inv(a, prec: int):
@@ -225,11 +220,14 @@ def _gmul(x, y, q: int) -> tuple[int, int, int]:
 
 
 def _gpow(x, n: int, q: int) -> tuple[int, int, int]:
-    """x^n for n >= 1, by square-and-multiply as in `_pow`."""
-    if n == 1:
-        return x
-    half = _gpow(_gmul(x, x, q), n >> 1, q)
-    return _gmul(half, x, q) if n & 1 else half
+    """x^n for n >= 0, by `exactnum.power`."""
+    return power(x, n, lambda a, b: _gmul(a, b, q), (1 << q, 0, 0))
+
+
+def _newton_powers(w: tuple[int, int], p: int, q: int):
+    """The Gaussian balls of w^(p-1) and w^p for w = (re, im) at scale 2^q."""
+    below = _gpow((*w, 0), p - 1, q)
+    return below, _gmul(below, (*w, 0), q)
 
 
 def _complex_str(u: tuple[int, int], prec: int) -> str:
@@ -244,7 +242,7 @@ def _check_radius(r: int, mag: int, e: int, bits: int) -> None:
     most 2^-(bits - 16) (1 + mag 2^e), for mag 2^e the size of the value."""
     # Both sides times 2^(bits + s), so that no shift is negative.
     s = max(0, -e)
-    if r << (bits + e + s) > ((1 << s) + (mag << (e + s))) << AGREEMENT_MARGIN_BITS:
+    if r << (bits + e + s) > ((1 << s) + (mag << (e + s))) << RADIUS_MARGIN_BITS:
         raise PrecisionError(f"precision-{bits} enclosure radius exceeds the tolerance")
 
 
@@ -286,10 +284,9 @@ def branch_residuals(result, bits: int = DEFAULT_BITS) -> dict:
 def _root_ball(w: tuple[int, int], v, p: int, q: int) -> tuple[int, int, int]:
     """w = (re, im) at scale 2^q with the radius rho of the module docstring:
     a zero of x^p - v lies within rho of w, for v a Gaussian ball at scale 2^q."""
-    power = _gpow((*w, 0), p - 1, q)
-    top = _gmul(power, (*w, 0), q)
+    below, top = _newton_powers(w, p, q)
     defect = math.isqrt((top[0] - v[0]) ** 2 + (top[1] - v[1]) ** 2) + 1 + top[2] + v[2]
-    low = math.isqrt(power[0] ** 2 + power[1] ** 2) - power[2]
+    low = math.isqrt(below[0] ** 2 + below[1] ** 2) - below[2]
     if low <= 0:
         raise PrecisionError(f"|w^{p - 1}| undecided at {q} bits")
     return (*w, -(-(defect << q) // low))
@@ -310,13 +307,12 @@ def _unit_root(v, p: int, prec: int, angle: float) -> tuple[int, int, int]:
         rungs.append(rungs[-1] // 2 + 8)
     for rung in rungs[:0:-1] + [prec] * 64:
         w, q = (w[0] << rung - q, w[1] << rung - q), rung
-        power = _gpow((*w, 0), p - 1, q)
-        top = _gmul(power, (*w, 0), q)
+        below, top = _newton_powers(w, p, q)
         num_re, num_im = top[0] - (v[0] >> prec - q), top[1] - (v[1] >> prec - q)
-        den = p * (power[0] ** 2 + power[1] ** 2)
+        den = p * (below[0] ** 2 + below[1] ** 2)
         # (w^p - v) / (p w^(p-1)), multiplied through by conj(w^(p-1)).
-        sr = ((num_re * power[0] + num_im * power[1]) << q) // den
-        si = ((num_im * power[0] - num_re * power[1]) << q) // den
+        sr = ((num_re * below[0] + num_im * below[1]) << q) // den
+        si = ((num_im * below[0] - num_re * below[1]) << q) // den
         w = (w[0] - sr, w[1] - si)
         if q == prec and (sr * sr + si * si) << 2 * (prec - 8) <= w[0] ** 2 + w[1] ** 2:
             break
@@ -324,6 +320,14 @@ def _unit_root(v, p: int, prec: int, angle: float) -> tuple[int, int, int]:
     if ball[2] >> (prec - 8):
         raise PrecisionError(f"Newton iteration on w^{p} - v failed to converge")
     return ball
+
+
+def _check_real_max(x, rivals, ks, claim: str, p: int, bits: int) -> None:
+    """Raise PrecisionError, stating `claim` for the first k in ks that fails,
+    unless Re x - r > Re rivals[k] + r_k: the rule of the module docstring."""
+    for k in ks:
+        if x[0] - x[2] <= rivals[k][0] + rivals[k][2]:
+            raise PrecisionError(f"{claim.format(k=k)} undecided for p = {p} at {bits} bits")
 
 
 @lru_cache(maxsize=16)
@@ -338,9 +342,7 @@ def zeta_two_ways(p: int, bits: int = DEFAULT_BITS):
         powers.append(_gmul(powers[-1], zeta, prec))
     if zeta[1] <= zeta[2]:
         raise PrecisionError(f"Im zeta^1 > 0 undecided for p = {p} at {bits} bits")
-    for k in range(2, p - 1):
-        if zeta[0] - zeta[2] <= powers[k][0] + powers[k][2]:
-            raise PrecisionError(f"Re zeta^1 > Re zeta^{k} undecided for p = {p} at {bits} bits")
+    _check_real_max(zeta, powers, range(2, p - 1), "Re zeta^1 > Re zeta^{k}", p, bits)
     return zeta, tuple(powers)
 
 
@@ -355,12 +357,11 @@ def _root_map_once(params: InstanceParams, bits: int) -> list[tuple[int, int, in
         v_re = _mul(_leaf(d, prec), _inv(root, prec), prec)
         v = _gauss(v_re, _root(_leaf(-R / D, prec), 2, prec), prec)
         e = _unit_root(v, p, prec, math.atan2(v[1] / (1 << prec), v[0] / (1 << prec)) / p)
+        rotated = [_gmul(e, zk, prec) for zk in powers]
+        _check_real_max(e, rotated, range(1, p), "Re e > Re e zeta^{k}", p, bits)
         # The radius of e zeta^k bounds the error of its real part.
-        parts = [(g[0], g[2], -prec) for g in (_gmul(e, zk, prec) for zk in powers)]
-        for k in range(1, p):
-            if e[0] - e[2] <= parts[k][0] + parts[k][1]:
-                raise PrecisionError(f"Re e > Re e zeta^{k} undecided for p = {p} at {bits} bits")
-        return [_gauss(_mul((m, r, ex + 1), x, prec), (0, 0, 0), prec) for x in parts]
+        two_root = (m, r, ex + 1)
+        return [_gauss(_mul(two_root, (g[0], g[2], -prec), prec), (0, 0, 0), prec) for g in rotated]
     h, root = (p - 1) // 2, _root(_leaf(R, prec), 2, prec)
     if d < 0:
         # beta = D^h D / (d - sqrt(R)): no cancellation.
@@ -386,7 +387,12 @@ def verify_root_map(p: int, d, R, bits: int = DEFAULT_BITS, tol_exp: int | None 
 
     The map runs once at P = max(bits, 128) + 32 bits, and PrecisionError is
     raised unless each u_k's radius is at most 2^-(bits - 16) (1 + |u_k|).
-    The checks run on the midpoints and f's floored coefficients at scale
+    `distinct` holds when the balls are pairwise disjoint (distance > r_j + r_k),
+    which proves the p values distinct.  They always are: as
+    u_j - u_k = (w_j - w_k)(1 - D/(w_j w_k)) and w_j != w_k for j != k,
+    u_j = u_k forces w_j w_k = D, so beta^2 = D^p, that is
+    (d + sqrt(R))^2 = D = d^2 - R, and sqrt(R) = -d would be rational.
+    The other checks run on the midpoints and f's floored coefficients at scale
     2^P.  The relative residual, scaled by sum_i |c_i| max(1, |u|)^i, must be
     below `exactnum.tolerance` (by default 2^-(bits - 56)).  Values print to
     30 digits, with imaginary part exactly 0 where u_k is real by
@@ -416,8 +422,9 @@ def verify_root_map(p: int, d, R, bits: int = DEFAULT_BITS, tol_exp: int | None 
         max_rel = max(max_rel, Fraction(math.isqrt(fr * fr + fi * fi) + 1, scale))
         values.append(_complex_str((ur, ui), prec))
 
-    min_dist2 = min((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 for a, b in combinations(us, 2))
-    distinct = min_dist2 > 1 << 2 * (prec - bits // 2)
+    gaps = [((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2, a[2] + b[2]) for a, b in combinations(us, 2)]
+    min_dist2 = min(g for g, _ in gaps)
+    distinct = all(g > r * r for g, r in gaps)  # pairwise disjoint balls
     # Every rational zero of f must appear among the u_k.
     root_dists = {}
     for r in sorted(rational_roots(f)):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import divisors
+from .exactnum import divisors, power
 
 _SCALARS = (int, Fraction)
 
@@ -120,16 +120,7 @@ class Poly:
         return Poly([coef * c for coef in self.coeffs])
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Poly.__mul__, Poly.constant(1))
 
     def evaluate(self, x):
         """Exact Horner evaluation at x (same ring as the coefficients)."""
@@ -250,14 +241,7 @@ class ParamPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ParamPoly":
-        result = ParamPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, ParamPoly.__mul__, ParamPoly.const(1))
 
     def __bool__(self):
         return bool(self.terms)

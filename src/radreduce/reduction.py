@@ -25,13 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exprtree as et
+from .coeffs import dickson
 from .construct import (
     InstanceParams,
     ReductionError,
     defining_poly,
     sqrt_part_poly,
     trace_poly,
-    trace_poly_symbolic,
 )
 from .exactnum import QuadExt, check_p, is_probable_prime, rational_is_square, rational_odd_root
 from .poly import Poly, rational_roots
@@ -208,8 +208,9 @@ def construct_example(p: int, D, u) -> tuple[InstanceParams, Poly]:
     """Instance with a prescribed norm D and rational trace-polynomial zero u.
 
     Solving f(u) = D_p(u, D) - 2 d D^((p-1)/2) = 0 for the free parameter d
-    gives d = D_p(u, D) / (2 D^((p-1)/2)), and then R = d^2 - D.  Degenerate
-    outcomes (d = 0, R = 0, or R a rational square, which would make sqrt(R)
+    gives d = D_p(u, D) / (2 D^((p-1)/2)), summed from `coeffs.dickson`, and
+    then R = d^2 - D; that choice of d makes f(u) = 0.  Degenerate outcomes
+    (d = 0, R = 0, or R a rational square, which would make sqrt(R)
     rational) raise ReductionError.
     """
     check_p(p)
@@ -217,16 +218,14 @@ def construct_example(p: int, D, u) -> tuple[InstanceParams, Poly]:
     u = Fraction(u)
     if D == 0:
         raise ValueError("D must be nonzero")
-    dickson_p = trace_poly_symbolic(p).map(lambda c: c.subs(0, D))  # f at d = 0
-    d = dickson_p.evaluate(u) / (2 * D ** ((p - 1) // 2))
+    dickson_p = sum(dickson(p, j) * D**j * u ** (p - 2 * j) for j in range(p // 2 + 1))
+    d = dickson_p / (2 * D ** ((p - 1) // 2))
     if d == 0:
         raise ReductionError("degenerate construction: d = 0")
     R = d * d - D
     if R == 0:
         raise ReductionError("degenerate construction: R = 0")
     params = InstanceParams.create(p, d, R)
-    if trace_poly(params).evaluate(u) != 0:
-        raise AssertionError("construction failed to plant the prescribed zero")
     return params, defining_poly(params)
 
 

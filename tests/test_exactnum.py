@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radreduce import numeric
 from radreduce.coeffs import coeff_c, coeff_u, system_C
 from radreduce.exactnum import (
     MR_PROVEN_BOUND,
@@ -15,10 +16,12 @@ from radreduce.exactnum import (
     integer_nth_root,
     is_probable_prime,
     parse_rational,
+    power,
     rational_is_square,
     rational_odd_root,
     tolerance,
 )
+from radreduce.poly import ParamPoly, Poly
 
 fractions_small = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -268,6 +271,8 @@ class TestQuadExt:
     def test_negative_power(self):
         x = QuadExt(3, 1, 2)
         assert x**-2 == (x * x).inverse()
+        for n in range(1, 6):
+            assert x**-n == (x**n).inverse()
 
     def test_scalar_mixing(self):
         x = QuadExt(1, 2, 5)
@@ -298,3 +303,70 @@ class TestQuadExtRingLaws:
     def test_conjugate_norm(self, R, a1, b1):
         x = QuadExt(a1, b1, R)
         assert x * x.conjugate() == QuadExt(x.norm(), 0, R)
+
+
+def _old_pow(a, n, prec):
+    """`numeric._pow`'s former recursive body, kept as the oracle."""
+    if n <= 1:
+        return a if n else (1, 0, 0)
+    half = _old_pow(numeric._mul(a, a, prec), n >> 1, prec)
+    return numeric._mul(half, a, prec) if n & 1 else half
+
+
+def _old_gpow(x, n, q):
+    """`numeric._gpow`'s former recursive body (n >= 1), kept as the oracle."""
+    if n == 1:
+        return x
+    half = _old_gpow(numeric._gmul(x, x, q), n >> 1, q)
+    return numeric._gmul(half, x, q) if n & 1 else half
+
+
+class TestPower:
+    def test_negative_exponent_raises(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            power(2, -1, lambda x, y: x * y, 1)
+        with pytest.raises(ValueError, match="negative exponent"):
+            Poly([Fraction(1), Fraction(2)]) ** -1
+        for base in (ParamPoly.const(1), ParamPoly.monomial(2, 1, 1)):
+            with pytest.raises(ValueError, match="negative exponent"):
+                base**-2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=12),
+        coeffs=st.lists(fractions_small, min_size=1, max_size=4),
+        terms=st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), fractions_small, max_size=3
+        ),
+        quad=st.tuples(
+            fractions_small, fractions_small, st.sampled_from([2, 5, -3, Fraction(5, 2)])
+        ),
+        ball_n=st.integers(min_value=0, max_value=130),
+        parts=st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=10**6)] * 2),
+        radius=st.integers(min_value=0, max_value=1000),
+        bits=st.sampled_from([64, 256]),
+    )
+    def test_matches_repeated_products_and_the_old_ball_powers(
+        self, n, coeffs, terms, quad, ball_n, parts, radius, bits
+    ):
+        # Exact rings: square-and-multiply equals n products from one.
+        for x, one in (
+            (Poly(coeffs), Poly.constant(1)),
+            (ParamPoly(terms), ParamPoly.const(1)),
+            (QuadExt(*quad), QuadExt(1, 0, quad[2])),
+        ):
+            want = one
+            for _ in range(n):
+                want = want * x
+            assert x**n == want
+        # Balls: the same tuples as the recursive bodies, as radii and
+        # truncations depend on the order of the products.
+        prec = bits + numeric._GUARD
+        m, r, e = numeric._leaf(parts[0], prec)
+        real = (m, r + radius, e)
+        assert numeric._pow(real, ball_n, prec) == _old_pow(real, ball_n, prec)
+        gauss = numeric._gauss(real, numeric._leaf(parts[1], prec), prec)
+        if ball_n:
+            assert numeric._gpow(gauss, ball_n, prec) == _old_gpow(gauss, ball_n, prec)
+        else:
+            assert numeric._gpow(gauss, 0, prec) == (1 << prec, 0, 0)

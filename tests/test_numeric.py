@@ -602,6 +602,14 @@ class TestRootMap:
         assert not rep["distinct"] and not rep["ok"]
         assert rep["min_pairwise_distance"] == 0
 
+    @pytest.mark.parametrize("bits", [57, 64])
+    def test_close_zeros_in_disjoint_balls_are_distinct(self, bits):
+        # Zeros 1.6e-10 apart, closer than 2^-(bits/2) at 57 and 64 bits, held
+        # in balls of radius about 2^-160: disjoint, so distinct.
+        rep = verify_root_map(3, F(1, 10**11), F(1, 10**22) - F(1, 10**20), bits)
+        assert F(16, 10**11) < rep["min_pairwise_distance"] < F(17, 10**11)
+        assert rep["distinct"] and rep["ok"]
+
 
 def _mpmath_root_map_once(params, bits):
     """The reference root map in mpmath complex arithmetic at bits + 32:

@@ -195,7 +195,7 @@ class TestConstructExample:
             construct_example(5, 0, 1)
 
     @given(
-        p=st.sampled_from([3, 5, 7]),
+        p=st.sampled_from([3, 5, 7, 9, 13]),
         D=st.fractions(min_value=-6, max_value=6, max_denominator=3).filter(lambda q: q != 0),
         u=st.fractions(min_value=-6, max_value=6, max_denominator=3).filter(lambda q: q != 0),
     )
@@ -207,6 +207,8 @@ class TestConstructExample:
             assume(False)
             return
         assert params.D == D
+        # The choice of d plants u as a zero of f.
+        assert trace_poly(params).evaluate(u) == 0
         r = reduce_radical(params.p, params.d, params.R)
         assert u in r.u_roots
         # the defining polynomial evaluates the radicand norm correctly
