@@ -12,8 +12,9 @@ the coefficient of D_n once; every family is an index map into it:
 * a_{2k}   ("a")      - even-degree coefficients of A (cleared), from D_{p-1}
 * c'_{2j+1} ("cprime") - odd-degree coefficients of f', from D_{p-2}
 * C_{p-2k} ("C")      - coefficients of the expansion of X^p + 1 in the
-                         basis X^k (X+1)^(p-2k), solved column by column from
-                         their triangular system: c again, by another route
+                         basis X^k (X+1)^(p-2k), solved from their triangular
+                         system as the digits of (1+X)^-p in powers of
+                         X/(1+X)^2: c again, by another route
 * u_k      ("u")      - closed form of both convolution sums s_k, t_k, from
                          D_{2p-2}
 
@@ -68,29 +69,42 @@ def coeff_cprime(p: int, j: int) -> int:
 
 def system_C(p: int) -> list[int]:
     """Expansion coefficients [C_p, C_{p-2}, ..., C_1] of X^p + 1 over the
-    basis X^k (X+1)^(p-2k), solved by forward substitution.
+    basis X^k (X+1)^(p-2k), solved from the system by radix conversion.
 
-    The system is unitriangular: C_p = 1 and, for j >= 1,
-    sum_{k=0}^{j} C_{p-2k} * binom(p-2k, j-k) = 0.
+    Write c_k = C_{p-2k} and h = (p-1)/2.  The rows j <= h of the system say
+    sum_k c_k X^k (1+X)^(p-2k) = 1 mod X^(h+1).  Dividing by the unit (1+X)^p
+    gives sum_k c_k T^k = (1+X)^-p with T = X/(1+X)^2, and since T is X times a
+    unit the c_k are the unique digits of (1+X)^-p in powers of T:
+    c_k = U_k(0), with U_0 = (1+X)^-p and U_{k+1} = (U_k - c_k) (1+X)^2 / X.
 
-    It is solved column by column: once C_{p-2k} is fixed, its column
-    C_{p-2k} * binom(p-2k, i) is added into the residuals of the rows
-    j = k + i below, and the next unknown is minus its residual.  The
-    binomials are stepped along each row, so no binomial is computed afresh.
+    Each series is packed as one integer at X = 2^n, n = p + 2, starting from
+    the binomials (-1)^i binom(p-1+i, i) of U_0 (c_0 = 1 is its constant
+    term).  A step is three shifts, two additions and a mask to the n (h-k)
+    bits still read; carries move only upward, so every step is exact modulo
+    that power of 2, and the signed low n bits are c_k whenever |c_k| < 2^(n-1).
+    They are: Lagrange inversion gives c_k = [T^k] (1+X)^-p
+    = -(p/k) [X^(k-1)] (1+X)^(2k-p-1) = dickson(p, k), and the |dickson(p, k)|
+    sum to the Lucas number D_p(1, -1) = L_p < 2^p.  The system has one
+    solution, so `identity.verify_expansion`, which rebuilds X^p + 1 from
+    these values with its own slot width, would catch a misread digit.
     """
     check_p(p)
-    half = (p - 1) // 2
-    residual = [0] * (half + 1)
-    out = []
-    for k in range(half + 1):
-        # binom(p-2k, 0) = 1 is the diagonal entry.
-        c = -residual[k] if k else 1
+    h, n = (p - 1) // 2, p + 2
+    half = 1 << (n - 1)
+    full = 2 * half - 1
+    b = -p
+    v = b << n  # U_0 - c_0
+    for i in range(2, h + 1):
+        b = -b * (p + i - 1) // i
+        v += b << n * i
+    out = [1]
+    mask = (1 << n * h) - 1
+    for _ in range(h):
+        u = ((v >> n) + (v << 1) + (v << n)) & mask  # v (1+X)^2 / X
+        c = ((u & full) ^ half) - half
         out.append(c)
-        m = p - 2 * k
-        row = 1  # binom(m, i), stepped along the row
-        for i in range(half - k):
-            row = row * (m - i) // (i + 1)
-            residual[k + i + 1] += c * row
+        v = u - c
+        mask >>= n
     return out
 
 

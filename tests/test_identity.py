@@ -57,6 +57,19 @@ class TestExpansion:
         assert not check.passed
         assert check.witness == "index k=2: system 27, closed form 28"
 
+    def test_system_solution_is_cross_checked(self, monkeypatch):
+        import radreduce.identity as identity_mod
+
+        real = identity_mod.system_C
+        monkeypatch.setattr(
+            identity_mod, "system_C", lambda p: [c + (k == 2) for k, c in enumerate(real(p))]
+        )
+        # C_5 = 27 becomes 28, which adds X^2 (X+1)^5 to the expansion.
+        assert _failing(verify_expansion(9)) == {
+            "system-solution-matches-closed-form": "index k=2: system 28, closed form 27",
+            "expansion-reconstructs-with-system-coefficients": "X^2: left 1, right 0",
+        }
+
 
 class TestFundamentalIdentity:
     @pytest.mark.parametrize("p", range(3, 30, 2))

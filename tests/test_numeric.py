@@ -606,9 +606,12 @@ class TestRootMap:
     def test_close_zeros_in_disjoint_balls_are_distinct(self, bits):
         # Zeros 1.6e-10 apart, closer than 2^-(bits/2) at 57 and 64 bits, held
         # in balls of radius about 2^-160: disjoint, so distinct.
-        rep = verify_root_map(3, F(1, 10**11), F(1, 10**22) - F(1, 10**20), bits)
+        args = (3, F(1, 10**11), F(1, 10**22) - F(1, 10**20), bits)
+        rep = verify_root_map(*args)
         assert F(16, 10**11) < rep["min_pairwise_distance"] < F(17, 10**11)
         assert rep["distinct"] and rep["ok"]
+        # Far beyond twice the gate radii, so the oracle's answer is forced.
+        assert _root_map_oracle(*args)["distinct"]
 
 
 def _mpmath_root_map_once(params, bits):
@@ -633,7 +636,12 @@ def _root_map_oracle(p, d, R, bits):
     """verify_root_map's gate and checks as mpmath arithmetic.  The gate asks
     what the certified radius bounds: that each reference value at the
     working precision, max(bits, 128) + 32, lie within 2^-(bits - 16) (1 + |u|)
-    of the reference at 4 bits.  The checks run on the values at 4 bits."""
+    of the reference at 4 bits.  The checks run on the values at 4 bits.
+
+    `distinct` is answered only where the gate forces it: balls within those
+    radii of references more than twice the sum of the two radii apart are
+    disjoint, so verify_root_map must call them distinct.  Closer pairs fail
+    the oracle's precondition rather than get a guess."""
     params = InstanceParams.create(p, d, R)
     f = trace_poly(params)
     u_work = _mpmath_root_map_once(params, max(bits, 128))
@@ -652,18 +660,24 @@ def _root_map_oracle(p, d, R, bits):
             for c in reversed(abs_coeffs):
                 scale = scale * mag + c
             max_rel = max(max_rel, abs(f_num.evaluate(u)) / scale)
-        diffs = (u_high[i] - u_high[j] for i in range(p) for j in range(i + 1, p))
+        pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+        diffs = [u_high[i] - u_high[j] for i, j in pairs]
         min_dist = mp.sqrt(min(w.real * w.real + w.imag * w.imag for w in diffs))
-        distinct = min_dist > TWO ** -(bits // 2)
+        gate = [TWO ** -(bits - 16) * (1 + abs(u)) for u in u_high]
+        for (i, j), w in zip(pairs, diffs):
+            assert abs(w) > 2 * (gate[i] + gate[j]), (
+                f"oracle precondition: |u_{i} - u_{j}| = {mp.nstr(abs(w), 5)} is not more "
+                "than twice the sum of their gate radii, so distinct is not forced"
+            )
         return {
             "values": [mp.nstr(u, 30) for u in u_high],
             "min_pairwise_distance": to_fraction(min_dist),
-            "distinct": bool(distinct),
+            "distinct": True,
             "rational_root_distances": {
                 str(r): to_fraction(min(abs(u - to_mpf(r)) for u in u_high))
                 for r in sorted(rational_roots(f))
             },
-            "ok": bool(distinct and max_rel < tol),
+            "ok": bool(max_rel < tol),
         }
 
 

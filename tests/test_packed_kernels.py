@@ -2,19 +2,19 @@
 
 Each kernel is compared with the direct computation it replaced, kept here
 as an oracle: the binomial-row loop for the expansion sum, forward
-substitution with math.comb for the C system, Poly-of-ParamPoly products,
-flattened, for the sides of the fundamental identity, and term-by-term sums
-for the convolutions.
+substitution with math.comb for the C system that `system_C` solves by
+radix conversion, Poly-of-ParamPoly products, flattened, for the sides of
+the fundamental identity, and term-by-term sums for the convolutions.
 """
 
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radreduce.identity as identity_mod
-from radreduce.coeffs import system_C
+from radreduce.coeffs import dickson, system_C
 from radreduce.construct import cofactor_symbolic, sqrt_part_symbolic, trace_poly_symbolic
 from radreduce.identity import (
     _convolve,
@@ -104,9 +104,20 @@ class TestConvolve:
 
 class TestSystemC:
     @given(st.integers(1, 150).map(lambda h: 2 * h + 1))
+    @example(401)  # the upper limit of verify --p-max
     @settings(max_examples=40, deadline=None)
     def test_matches_comb_forward_substitution(self, p):
         assert system_C(p) == system_C_oracle(p)
+
+    def test_matches_closed_form_at_the_p_limit(self):
+        # --p goes up to 1001, where the comb oracle takes over a second.
+        assert system_C(1001) == [dickson(1001, k) for k in range(501)]
+
+    @pytest.mark.parametrize("p", [3, 61, 199, 401, 1001])
+    def test_digits_fit_the_slot_width(self, p):
+        # The |C| sum to the Lucas number L_p < 2^p, so each fits in p bits
+        # and reads exactly from a signed slot of p + 2 bits.
+        assert max(map(abs, system_C(p))).bit_length() <= p
 
 
 @st.composite

@@ -214,6 +214,15 @@ class TestConstructExample:
         # the defining polynomial evaluates the radicand norm correctly
         assert g.coeff(0) == params.d**2 - params.R
 
+    @pytest.mark.xfail(raises=FactorizationError, strict=True)
+    def test_roundtrip_p13_past_the_factoring_bound(self):
+        # An example test_roundtrip_property can draw: the cleared trace
+        # polynomial leaves the cofactor 380831479479361, beyond trial
+        # division to 10^6, so the rational-root search gives up.
+        params, _ = construct_example(13, 1, F(17, 3))
+        r = reduce_radical(params.p, params.d, params.R)
+        assert F(17, 3) in r.u_roots
+
     @given(
         p=st.sampled_from([3, 5]),
         z=st.sampled_from([F(-1), F(2), F(-2), F(1, 2), F(3)]),
