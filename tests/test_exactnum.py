@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radreduce import numeric
+from radreduce import balls
 from radreduce.coeffs import coeff_c, coeff_u, system_C
 from radreduce.exactnum import (
     MR_PROVEN_BOUND,
@@ -306,19 +306,19 @@ class TestQuadExtRingLaws:
 
 
 def _old_pow(a, n, prec):
-    """`numeric._pow`'s former recursive body, kept as the oracle."""
+    """`balls._pow`'s former recursive body, kept as the oracle."""
     if n <= 1:
         return a if n else (1, 0, 0)
-    half = _old_pow(numeric._mul(a, a, prec), n >> 1, prec)
-    return numeric._mul(half, a, prec) if n & 1 else half
+    half = _old_pow(balls._mul(a, a, prec), n >> 1, prec)
+    return balls._mul(half, a, prec) if n & 1 else half
 
 
 def _old_gpow(x, n, q):
-    """`numeric._gpow`'s former recursive body (n >= 1), kept as the oracle."""
+    """`balls._gpow`'s former recursive body (n >= 1), kept as the oracle."""
     if n == 1:
         return x
-    half = _old_gpow(numeric._gmul(x, x, q), n >> 1, q)
-    return numeric._gmul(half, x, q) if n & 1 else half
+    half = _old_gpow(balls._gmul(x, x, q), n >> 1, q)
+    return balls._gmul(half, x, q) if n & 1 else half
 
 
 class TestPower:
@@ -361,12 +361,12 @@ class TestPower:
             assert x**n == want
         # Balls: the same tuples as the recursive bodies, as radii and
         # truncations depend on the order of the products.
-        prec = bits + numeric._GUARD
-        m, r, e = numeric._leaf(parts[0], prec)
+        prec = bits + balls._GUARD
+        m, r, e = balls._leaf(parts[0], prec)
         real = (m, r + radius, e)
-        assert numeric._pow(real, ball_n, prec) == _old_pow(real, ball_n, prec)
-        gauss = numeric._gauss(real, numeric._leaf(parts[1], prec), prec)
+        assert balls._pow(real, ball_n, prec) == _old_pow(real, ball_n, prec)
+        gauss = balls._gauss(real, balls._leaf(parts[1], prec), prec)
         if ball_n:
-            assert numeric._gpow(gauss, ball_n, prec) == _old_gpow(gauss, ball_n, prec)
+            assert balls._gpow(gauss, ball_n, prec) == _old_gpow(gauss, ball_n, prec)
         else:
-            assert numeric._gpow(gauss, 0, prec) == (1 << prec, 0, 0)
+            assert balls._gpow(gauss, 0, prec) == (1 << prec, 0, 0)

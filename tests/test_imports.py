@@ -1,7 +1,8 @@
 """What a fresh process imports: each subcommand loads only what it runs, and
 no CLI command loads mpmath; the package namespace resolves lazily.  In the
 source, only `numeric._to_mpf` (the mpf that `eval_dual` returns) imports
-mpmath."""
+mpmath, and each module imports at module level only the package modules of
+its row in `LAYERS`: `balls`, the ball arithmetic, only `exactnum`."""
 
 import ast
 import json
@@ -67,7 +68,7 @@ def test_exact_commands_do_not_load_mpmath(argv):
 @pytest.mark.parametrize("argv", NUMERIC.values(), ids=NUMERIC.keys())
 def test_numeric_commands_do_not_load_mpmath(argv):
     loaded = loaded_modules(argv)
-    assert "radreduce.numeric" in loaded
+    assert {"radreduce.numeric", "radreduce.balls"} <= loaded
     assert "mpmath" not in loaded
 
 
@@ -88,6 +89,38 @@ def test_mpmath_is_imported_only_by_to_mpf():
             owner = [f.name for f in functions if node in ast.walk(f)]
             importers.add(f"{path.stem}.{owner[-1] if owner else '<module>'}")
     assert importers == {"numeric._to_mpf"}
+
+
+# The package modules each module imports at module level.
+LAYERS = {
+    "__init__": set(),
+    "exactnum": set(),
+    "exprtree": set(),
+    "balls": {"exactnum"},
+    "cli": {"exactnum"},
+    "coeffs": {"exactnum"},
+    "poly": {"exactnum"},
+    "construct": {"coeffs", "exactnum", "poly"},
+    "identity": {"coeffs", "construct", "poly"},
+    "reduction": {"coeffs", "construct", "exactnum", "exprtree", "poly"},
+    "numeric": {"balls", "construct", "exactnum", "exprtree", "poly"},
+}
+
+
+def test_module_level_imports_follow_the_layers():
+    layers = {}
+    for path in sorted((SRC / "radreduce").glob("*.py")):
+        imported = set()
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # `from .poly import x` or `from . import exprtree as et`
+                imported |= {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "radreduce" for a in node.names), path
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0 and node.module.split(".")[0] != "radreduce", path
+        layers[path.stem] = imported
+    assert layers == LAYERS
 
 
 def test_coeffs_loads_only_its_modules():

@@ -10,21 +10,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, mpmathify
 
+from radreduce import balls, numeric
 from radreduce import exprtree as et
-from radreduce import numeric
 from radreduce.cli import main
 from radreduce.construct import InstanceParams, trace_poly
 from radreduce.exactnum import FactorizationError, tolerance_exp
+from radreduce.balls import EvalDomainError, zeta_two_ways
 from radreduce.numeric import (
     ROOT_MAP_MAX_P,
-    EvalDomainError,
     PrecisionError,
     branch_residuals,
     decimal_str,
     eval_dual,
     eval_expression,
     verify_root_map,
-    zeta_two_ways,
 )
 from radreduce.poly import rational_roots
 from radreduce.reduction import ReductionError, construct_example, reduce_radical
@@ -168,7 +167,7 @@ class TestRealRoot:
 
     def test_square_root_of_negative_raises(self):
         with pytest.raises(EvalDomainError):
-            numeric._root(numeric._leaf(F(-2), 96), 2, 96)
+            balls._root(balls._leaf(F(-2), 96), 2, 96)
 
 
 class TestDualPrecision:
@@ -379,9 +378,9 @@ class TestEnclosures:
 def fresh_zeta():
     """Empty zeta's cache before and after a test that patches what zeta is
     built from, so that no cached ball stands in for the one it builds."""
-    numeric.zeta_two_ways.cache_clear()
+    balls.zeta_two_ways.cache_clear()
     yield
-    numeric.zeta_two_ways.cache_clear()
+    balls.zeta_two_ways.cache_clear()
 
 
 def named_power(j, p):
@@ -435,7 +434,7 @@ class TestZetaTwoWays:
         # A seed at angle 4 pi / p makes Newton converge to zeta^2, also a
         # root of w^p - 1: the balls of its powers must show it is not zeta.
         doubled = {"cos": lambda x: math.cos(2 * x), "sin": lambda x: math.sin(2 * x)}
-        monkeypatch.setattr(numeric, "math", types.SimpleNamespace(**{**vars(math), **doubled}))
+        monkeypatch.setattr(balls, "math", types.SimpleNamespace(**{**vars(math), **doubled}))
         with pytest.raises(PrecisionError, match=rule_message(named_power(2, p))):
             zeta_two_ways(p, 256)
 
@@ -447,12 +446,12 @@ class TestZetaTwoWays:
         # zeta replaced by the certified ball about zeta^j: zeta^2, the
         # conjugate zeta^(p - 1), zeta^j for j coprime to p, or a root of
         # unity of lower order (zeta^3 at p = 9).
-        prec = 256 + numeric._GUARD
+        prec = 256 + balls._GUARD
         one = (1 << prec, 0, 0)
-        other = numeric._root_ball(zeta_two_ways(p, 256)[1][j][:2], one, p, prec)
+        other = balls._root_ball(zeta_two_ways(p, 256)[1][j][:2], one, p, prec)
         assert_zeta_holds(other, p, prec, j)
-        numeric.zeta_two_ways.cache_clear()
-        monkeypatch.setattr(numeric, "_unit_root", lambda v, p, prec, angle: other)
+        balls.zeta_two_ways.cache_clear()
+        monkeypatch.setattr(balls, "_unit_root", lambda v, p, prec, angle: other)
         with pytest.raises(PrecisionError, match=rule_message(named_power(j, p))):
             zeta_two_ways(p, 256)
 
@@ -476,6 +475,12 @@ def _planted(p, D, u):
     return params
 
 
+def root_map_once(params, bits):
+    """`balls._root_map_once` on an instance, with zeta's powers at `bits`."""
+    powers = zeta_two_ways(params.p, bits)[1]
+    return balls._root_map_once(params.p, params.d, params.R, params.D, bits, powers)
+
+
 class TestRootMap:
     def test_cubic_values_are_roots_of_the_trace_poly(self):
         # u_k are the three roots of Z^3 + 3Z - 14; the real one is 2.
@@ -495,7 +500,7 @@ class TestRootMap:
 
     def test_conjugate_symmetry(self):
         # Values at scale 2^288: 2^88 units are 2^-200.
-        vals = numeric._root_map_once(InstanceParams.create(5, 2, 5), 256)
+        vals = root_map_once(InstanceParams.create(5, 2, 5), 256)
         for k in range(1, 5):
             (a, b, _), (c, e, _) = vals[5 - k], vals[k]
             assert abs(a - c) < 2**88 and abs(b + e) < 2**88
@@ -509,12 +514,12 @@ class TestRootMap:
         # d < 0 < R with d^2 far above |D|, so d + sqrt(R) cancels almost all
         # of its bits; the root map forms it as D / (d - sqrt(R)) instead.
         params, _ = construct_example(p, D, u)
-        balls = numeric._root_map_once(params, 256)
-        for re, im, r in balls:
+        us = root_map_once(params, 256)
+        for re, im, r in us:
             numeric._check_radius(r, math.isqrt(re * re + im * im), -288, 256)
         # Values at scale 2^288: |v - u| < 2^-200 |u|.
         target = u * 2**288
-        assert min((re - target) ** 2 + im * im for re, im, _ in balls) < (u * 2**88) ** 2
+        assert min((re - target) ** 2 + im * im for re, im, _ in us) < (u * 2**88) ** 2
 
     def test_verify_root_map_on_cancelling_sum(self):
         params, _ = construct_example(11, -6, 15)
@@ -535,11 +540,11 @@ class TestRootMap:
         B = 256
         real = numeric._root_map_once
 
-        def shifted(params, bits):
-            one = 1 << (bits + numeric._GUARD)
+        def shifted(p, d, R, D, bits, powers):
+            one = 1 << (bits + balls._GUARD)
             return [
                 (re + ((one + math.isqrt(re * re + im * im)) >> (B - 64)), im, r)
-                for re, im, r in real(params, bits)
+                for re, im, r in real(p, d, R, D, bits, powers)
             ]
 
         monkeypatch.setattr(numeric, "_root_map_once", shifted)
@@ -554,15 +559,17 @@ class TestRootMap:
         args = (3, params.d, params.R, 256)
         values = verify_root_map(*args)["values"]
         assert "(2.0 + 0.0j)" in values
-        real = numeric.zeta_two_ways
+        real, calls = numeric.zeta_two_ways, []
 
         def last_bit_flipped(p, bits):
+            calls.append((p, bits))
             zeta = real(p, bits)[0]
             zeta = (zeta[0] + 1, *zeta[1:])
-            return zeta, zeta_powers(zeta, p, bits + numeric._GUARD)
+            return zeta, zeta_powers(zeta, p, bits + balls._GUARD)
 
         monkeypatch.setattr(numeric, "zeta_two_ways", last_bit_flipped)
         assert verify_root_map(*args)["values"] == values
+        assert calls == [(3, 256)]
 
     @settings(deadline=None)
     @given(_instances)
@@ -592,8 +599,8 @@ class TestRootMap:
     def test_repeated_value_is_not_distinct(self, monkeypatch):
         real = numeric._root_map_once
 
-        def repeated(params, bits):
-            out = real(params, bits)
+        def repeated(p, d, R, D, bits, powers):
+            out = real(p, d, R, D, bits, powers)
             out[1] = out[0]
             return out
 
@@ -723,10 +730,10 @@ class TestRootMapAgainstMpmathOracle:
         assert got["rational_root_distances"].keys() == want["rational_root_distances"].keys()
         # Each distance within the radius certified for the u_k on that root,
         # plus the unit that flooring the root to scale 2^prec may lose.
-        prec = max(bits, 128) + numeric._GUARD
-        balls = numeric._root_map_once(params, max(bits, 128))
+        prec = max(bits, 128) + balls._GUARD
+        us = root_map_once(params, max(bits, 128))
         for r, dist in want["rational_root_distances"].items():
-            ball = min(balls, key=lambda b: (b[0] - F(r) * 2**prec) ** 2 + b[1] ** 2)
+            ball = min(us, key=lambda b: (b[0] - F(r) * 2**prec) ** 2 + b[1] ** 2)
             assert abs(got["rational_root_distances"][r] - dist) <= F(ball[2] + 1, 2**prec)
         want_dist = want["min_pairwise_distance"]
         assert abs(got["min_pairwise_distance"] - want_dist) <= want_dist / 2 ** (bits - 8)
@@ -751,24 +758,24 @@ class TestRootMapAgainstMpmathOracle:
         # d + sqrt(R) cancels about 655 bits; rational_roots cannot factor
         # the cleared trace polynomial, so only the root map itself runs.
         params, _ = construct_example(5, -3, -(10**20))
-        prec = bits + numeric._GUARD
-        balls = numeric._root_map_once(params, bits)
-        for re, im, r in balls:
+        prec = bits + balls._GUARD
+        us = root_map_once(params, bits)
+        for re, im, r in us:
             numeric._check_radius(r, math.isqrt(re * re + im * im), -prec, bits)
-        values = [numeric._complex_str(u[:2], prec) for u in balls]
+        values = [numeric._complex_str(u[:2], prec) for u in us]
         assert _printed(values) == _reference_values(params, bits)
         assert "(-100000000000000000000.0 + 0.0j)" in values
         with pytest.raises(FactorizationError):
             verify_root_map(5, params.d, params.R, bits)
 
 
-def assert_balls_hold(balls, params, bits):
+def assert_balls_hold(us, params, bits):
     """Each Gaussian ball (re, im, r) at scale 2^(bits + 32) holds its u_k as
     the reference root map gives it at 4 * bits."""
-    prec = bits + numeric._GUARD
+    prec = bits + balls._GUARD
     truth = _mpmath_root_map_once(params, 4 * bits)
     with mp.workprec(4 * bits + 32):
-        for k, (ball, u) in enumerate(zip(balls, truth, strict=True)):
+        for k, (ball, u) in enumerate(zip(us, truth, strict=True)):
             gap = abs(gauss(ball, prec) - u)
             assert gap <= ball[2] * TWO**-prec + abs(u) * TWO ** -(3 * bits), (params, bits, k)
 
@@ -784,7 +791,7 @@ def zeta_powers(zeta, p, prec):
     """zeta^0 .. zeta^(p-1) by the `_gmul` chain that `zeta_two_ways` uses."""
     powers = [(1 << prec, 0, 0)]
     for _ in range(p - 1):
-        powers.append(numeric._gmul(powers[-1], zeta, prec))
+        powers.append(balls._gmul(powers[-1], zeta, prec))
     return tuple(powers)
 
 
@@ -795,8 +802,8 @@ class TestRootMapBalls:
     @given(_instances, st.sampled_from([64, 256, 1024]))
     def test_balls_hold_the_root_map(self, instance, bits):
         params = _planted(*instance)
-        assert_balls_hold(numeric._root_map_once(params, bits), params, bits)
-        assert_zeta_holds(zeta_two_ways(params.p, bits)[0], params.p, bits + numeric._GUARD)
+        assert_balls_hold(root_map_once(params, bits), params, bits)
+        assert_zeta_holds(zeta_two_ways(params.p, bits)[0], params.p, bits + balls._GUARD)
 
     @pytest.mark.parametrize("bits", [256, 1024])
     @pytest.mark.parametrize(
@@ -804,7 +811,7 @@ class TestRootMapBalls:
     )
     def test_balls_hold_where_the_root_search_cannot_factor(self, args, bits):
         params, _ = construct_example(*args)
-        assert_balls_hold(numeric._root_map_once(params, bits), params, bits)
+        assert_balls_hold(root_map_once(params, bits), params, bits)
         with pytest.raises(FactorizationError):
             verify_root_map(params.p, params.d, params.R, bits)
 
@@ -813,8 +820,8 @@ class TestRootMapBalls:
         params, _ = construct_example(61, -5, 2)
         real, seen = numeric._root_map_once, []
 
-        def recording(params, bits):
-            seen.append(real(params, bits))
+        def recording(p, d, R, D, bits, powers):
+            seen.append(real(p, d, R, D, bits, powers))
             return seen[-1]
 
         monkeypatch.setattr(numeric, "_root_map_once", recording)
@@ -824,15 +831,18 @@ class TestRootMapBalls:
     @pytest.mark.parametrize("bits,work", [(57, 128), (256, 256), (1024, 1024)])
     def test_one_root_map_and_one_zeta_per_call(self, monkeypatch, bits, work):
         # One pass at the working precision max(bits, 128): no second map.
-        calls = []
-        for name in ("_root_map_once", "zeta_two_ways"):
-            real = getattr(numeric, name)
+        calls, real_map, real_zeta = [], numeric._root_map_once, numeric.zeta_two_ways
 
-            def counting(arg, b, real=real, name=name):
-                calls.append((name, b))
-                return real(arg, b)
+        def counting_map(p, d, R, D, b, powers):
+            calls.append(("_root_map_once", b))
+            return real_map(p, d, R, D, b, powers)
 
-            monkeypatch.setattr(numeric, name, counting)
+        def counting_zeta(p, b):
+            calls.append(("zeta_two_ways", b))
+            return real_zeta(p, b)
+
+        monkeypatch.setattr(numeric, "_root_map_once", counting_map)
+        monkeypatch.setattr(numeric, "zeta_two_ways", counting_zeta)
         verify_root_map(7, -2158, 4656966, bits)
         assert sorted(calls) == [("_root_map_once", work), ("zeta_two_ways", work)]
 
@@ -840,20 +850,20 @@ class TestRootMapBalls:
         # zeta and its powers come from the cache after the first call at a
         # precision: one Newton run on w^7 - 1 for three calls at 256 bits,
         # and one more for the first call at 1024.
-        real, runs = numeric._unit_root, []
+        real, runs = balls._unit_root, []
 
         def counting(v, p, prec, angle):
             if v[:2] == (1 << prec, 0):
                 runs.append((p, prec))
             return real(v, p, prec, angle)
 
-        monkeypatch.setattr(numeric, "_unit_root", counting)
+        monkeypatch.setattr(balls, "_unit_root", counting)
         for _ in range(3):
             verify_root_map(7, -2158, 4656966, 256)
         assert runs == [(7, 288)]
         verify_root_map(7, -2158, 4656966, 1024)
         assert runs == [(7, 288), (7, 1056)]
-        assert numeric.zeta_two_ways.cache_info().maxsize == 16
+        assert balls.zeta_two_ways.cache_info().maxsize == 16
         assert type(zeta_two_ways(7, 1024)[1]) is tuple and len(runs) == 2
 
     @pytest.mark.parametrize("args", [(9, 7, 3), (7, 5, -3), (5, 13, 1), (7, 3, -1)])
@@ -864,27 +874,27 @@ class TestRootMapBalls:
         # first power nearer the real axis than e zeta at (theta + 2 pi)/p.
         params, _ = construct_example(*args)
         assert params.R < 0
-        real = numeric._unit_root
+        real = balls._unit_root
 
         def turned(v, p, prec, angle):
             ball = real(v, p, prec, angle)
             if v[:2] == (1 << prec, 0):
                 return ball
             zeta = real((1 << prec, 0, 0), p, prec, 2 * math.pi / p)
-            return numeric._root_ball(numeric._gmul(ball, zeta, prec)[:2], v, p, prec)
+            return balls._root_ball(balls._gmul(ball, zeta, prec)[:2], v, p, prec)
 
-        monkeypatch.setattr(numeric, "_unit_root", turned)
+        monkeypatch.setattr(balls, "_unit_root", turned)
         k = params.p - 2
         with pytest.raises(PrecisionError, match=rf"Re e > Re e zeta\^{k} undecided"):
-            numeric._root_map_once(params, 256)
+            root_map_once(params, 256)
 
     @settings(deadline=None)
     @given(_instances, st.sampled_from([64, 256, 1024]))
     def test_e_rule_holds_and_e_is_the_principal_root(self, instance, bits):
         params = _planted(*instance)
         assume(params.R < 0)
-        numeric.zeta_two_ways.cache_clear()
-        real, seen = numeric._unit_root, []
+        balls.zeta_two_ways.cache_clear()
+        real, seen = balls._unit_root, []
 
         def recording(v, p, prec, angle):
             ball = real(v, p, prec, angle)
@@ -892,10 +902,10 @@ class TestRootMapBalls:
                 seen.append(ball)
             return ball
 
-        with mock.patch.object(numeric, "_unit_root", recording):
-            assert len(numeric._root_map_once(params, bits)) == params.p
+        with mock.patch.object(balls, "_unit_root", recording):
+            assert len(root_map_once(params, bits)) == params.p
         (e,) = seen
-        prec, d, R, D = bits + numeric._GUARD, params.d, params.R, params.D
+        prec, d, R, D = bits + balls._GUARD, params.d, params.R, params.D
         with mp.workprec(4 * prec):
             v = mpc(to_mpf(d), mp.sqrt(to_mpf(-R))) / mp.sqrt(to_mpf(D))
             assert abs(gauss(e, prec) - mp.root(v, params.p)) <= e[2] * TWO**-prec
@@ -907,31 +917,27 @@ class TestRootMapBalls:
         # is: zeta moved by `offset` units of 2^-288 in each part.
         zeta = zeta_two_ways(p, 256)[0]
         moved = (zeta[0] + offset, zeta[1] - offset)
-        assert_zeta_holds(numeric._root_ball(moved, (1 << 288, 0, 0), p, 288), p, 288)
+        assert_zeta_holds(balls._root_ball(moved, (1 << 288, 0, 0), p, 288), p, 288)
 
     @pytest.mark.parametrize("p", [3, 7, 13])
     def test_newton_radius_covers_the_radius_of_v(self, p):
         # v's midpoint is 2^-200 off 1 and its radius says so: the ball must
         # still hold zeta, a zero of w^p - 1.
         v = ((1 << 288) + (1 << 88), 0, (1 << 88) + 1)
-        assert_zeta_holds(numeric._unit_root(v, p, 288, 2 * math.pi / p), p, 288)
+        assert_zeta_holds(balls._unit_root(v, p, 288, 2 * math.pi / p), p, 288)
 
     @pytest.mark.parametrize("args", [(7, -2, 4), (13, -5, 2), (9, 7, 3), (7, 5, -3)])
-    def test_balls_hold_around_a_moved_zeta(self, monkeypatch, args):
+    def test_balls_hold_around_a_moved_zeta(self, args):
         # zeta moved by 2^-200 with its radius grown by just as much: zeta^k
         # moves by about k 2^-200, so only radii grown through the powers
         # hold every u_k.
         params, _ = construct_example(*args)
-        real = numeric.zeta_two_ways
-
-        def moved(p, bits):
-            re, im, r = real(p, bits)[0]
-            off = 1 << (bits + numeric._GUARD - 200)
-            zeta = (re + off, im, r + off)
-            return zeta, zeta_powers(zeta, p, bits + numeric._GUARD)
-
-        monkeypatch.setattr(numeric, "zeta_two_ways", moved)
-        assert_balls_hold(numeric._root_map_once(params, 256), params, 256)
+        p, prec = params.p, 256 + balls._GUARD
+        re, im, r = zeta_two_ways(p, 256)[0]
+        off = 1 << (prec - 200)
+        powers = zeta_powers((re + off, im, r + off), p, prec)
+        moved = balls._root_map_once(p, params.d, params.R, params.D, 256, powers)
+        assert_balls_hold(moved, params, 256)
 
     @pytest.mark.parametrize("args", [(7, -2, 4), (11, -6, 15), (9, 7, 3), (7, 5, -3)])
     def test_balls_hold_with_moved_leaves(self, monkeypatch, args):
@@ -939,14 +945,14 @@ class TestRootMapBalls:
         # by as much: the enclosures of d, R, D, sqrt(D) and v are wide, and
         # the u_k balls must widen with them.
         params, _ = construct_example(*args)
-        real = numeric._leaf
+        real = balls._leaf
 
         def moved(q, prec):
             m, r, e = real(q, prec)
             return m + (abs(m) >> 60), r + (abs(m) >> 60), e
 
-        monkeypatch.setattr(numeric, "_leaf", moved)
-        assert_balls_hold(numeric._root_map_once(params, 256), params, 256)
+        monkeypatch.setattr(balls, "_leaf", moved)
+        assert_balls_hold(root_map_once(params, 256), params, 256)
 
     def test_moved_zeta_fails_the_gate(self, monkeypatch):
         # zeta moved by 2^-(B - 24) with the radius certified for the moved
@@ -955,9 +961,9 @@ class TestRootMapBalls:
         real = numeric.zeta_two_ways
 
         def moved(p, bits):
-            zeta, prec = real(p, bits)[0], bits + numeric._GUARD
+            zeta, prec = real(p, bits)[0], bits + balls._GUARD
             point = (zeta[0] + (1 << (prec - B + 24)), zeta[1])
-            zeta = numeric._root_ball(point, (1 << prec, 0, 0), p, prec)
+            zeta = balls._root_ball(point, (1 << prec, 0, 0), p, prec)
             return zeta, zeta_powers(zeta, p, prec)
 
         monkeypatch.setattr(numeric, "zeta_two_ways", moved)
@@ -1021,7 +1027,7 @@ class TestCheckAgreement:
         radius = F(1, 2 ** (bits - 16)) * (1 + magnitude) * factor
         # |u| = magnitude on the real axis or along (3 + 4i)/5.
         mid = (magnitude, F(0)) if kind == "real" else (magnitude * F(3, 5), magnitude * F(4, 5))
-        prec = max(bits, 128) + numeric._GUARD
+        prec = max(bits, 128) + balls._GUARD
         (re, im), r = at_scale(mid, prec), math.ceil(radius * 2**prec)
         args = (r, math.isqrt(re * re + im * im), -prec, bits)
         if raises:
@@ -1056,11 +1062,11 @@ class TestAgreementGate:
         # The root map's bound is the same: widen every u_k's radius likewise.
         real = numeric._root_map_once
 
-        def widened(params, bits):
-            one = 1 << (bits + numeric._GUARD)
+        def widened(p, d, R, D, bits, powers):
+            one = 1 << (bits + balls._GUARD)
             return [
                 (re, im, r + ((one + math.isqrt(re * re + im * im)) >> (GATE_BITS - shift)))
-                for re, im, r in real(params, bits)
+                for re, im, r in real(p, d, R, D, bits, powers)
             ]
 
         monkeypatch.setattr(numeric, "_root_map_once", widened)
