@@ -38,8 +38,9 @@ Two more radius rules:
 * root location: a degree-p polynomial F has a zero within p |F(w)| / |F'(w)|
   of any w, as |F'/F| = |sum_i 1/(w - r_i)| <= p / min_i |w - r_i|.  For
   F = x^p - v, v within r_v of its midpoint, and t the floored w^p, within E
-  of it: rho = (|t - v| + E + r_v) / |w|^(p-1).  Below 2^-8 < sin(pi/61), half
-  the spacing of the zeros when |v| = 1, the disk holds exactly one.
+  of it: rho = (|t - v| + E + r_v) / |w|^(p-1).  When |v| = 1 the zeros are
+  2 sin(pi/p) apart, so a disk of radius below sin(pi/p) holds exactly one;
+  2^-9 < sin(pi/1001) (about 2^-8.32), so below 2^-9 it does for p <= 1001.
 Which zero a Newton ball holds is decided from the balls of its powers:
 * zeta: the ball holds one zero w = e^(2 pi i j/p), 0 <= j < p, and the power
   balls hold w^k.  Im zeta - r > 0 gives 1 <= j < p/2.  If g = gcd(j, p) > 1,
@@ -178,7 +179,7 @@ def _unit_root(v, p: int, prec: int, angle: float) -> tuple[int, int, int]:
     the unit circle, as a Gaussian ball at scale 2^prec: Newton from a 53-bit
     seed by stdlib `math.cos`/`math.sin`, one step per rung of a doubling
     precision ladder, then at full precision until the step converges; the
-    radius by `_root_ball`.  PrecisionError unless the radius is below 2^-8."""
+    radius by `_root_ball`.  PrecisionError unless the radius is below 2^-9."""
     q = min(53, prec)
     w = (round(math.cos(angle) * 2**q), round(math.sin(angle) * 2**q))
     # Each step doubles the correct bits, so it runs at about twice the
@@ -198,7 +199,7 @@ def _unit_root(v, p: int, prec: int, angle: float) -> tuple[int, int, int]:
         if q == prec and (sr * sr + si * si) << 2 * (prec - 8) <= w[0] ** 2 + w[1] ** 2:
             break
     ball = _root_ball(w, v, p, prec)
-    if ball[2] >> (prec - 8):
+    if ball[2] >> (prec - 9):
         raise PrecisionError(f"Newton iteration on w^{p} - v failed to converge")
     return ball
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, mpmathify
 
-from radreduce import balls, numeric
+from radreduce import balls, cli, numeric
 from radreduce import exprtree as et
 from radreduce.cli import main
 from radreduce.construct import InstanceParams, trace_poly
@@ -429,6 +429,28 @@ class TestZetaTwoWays:
         with mp.workprec(128):
             assert abs(gauss(zeta, 96) ** p - 1) < TWO**-80
 
+    def test_largest_accepted_p(self):
+        zeta, powers = zeta_two_ways(cli.MAX_P, 256)
+        assert_zeta_holds(zeta, cli.MAX_P, 288)
+        assert zeta[2] < 2**48 and len(powers) == cli.MAX_P
+        assert_zeta_holds(powers[-1], cli.MAX_P, 288, cli.MAX_P - 1)
+
+    @pytest.mark.parametrize("excess,raises", [(-1, False), (0, True)])
+    def test_uniqueness_gate_is_below_half_the_spacing(self, monkeypatch, excess, raises):
+        # A Newton ball is accepted only with a radius below 2^-9, and
+        # 2^-9 < sin(pi/p), half the spacing of the zeros of w^p - v for
+        # |v| = 1, at every p the CLI accepts.
+        assert 2**-9 < math.sin(math.pi / cli.MAX_P)
+        prec = 256 + balls._GUARD
+        radius = (1 << (prec - 9)) + excess
+        monkeypatch.setattr(balls, "_root_ball", lambda w, v, p, q: (*w, radius))
+        args = ((1 << prec, 0, 0), 7, prec, 2 * math.pi / 7)
+        if raises:
+            with pytest.raises(PrecisionError, match="failed to converge"):
+                balls._unit_root(*args)
+        else:
+            assert balls._unit_root(*args)[2] == radius
+
     @pytest.mark.parametrize("p", [3, 7, 13])
     def test_newton_on_zeta_squared_disagrees(self, monkeypatch, fresh_zeta, p):
         # A seed at angle 4 pi / p makes Newton converge to zeta^2, also a
@@ -814,6 +836,12 @@ class TestRootMapBalls:
         assert_balls_hold(root_map_once(params, bits), params, bits)
         with pytest.raises(FactorizationError):
             verify_root_map(params.p, params.d, params.R, bits)
+
+    @pytest.mark.parametrize("d,R", [(F(7, 3), F(11, 5)), (F(7), F(-3))], ids=["R>0", "R<0"])
+    def test_balls_hold_at_the_largest_accepted_p(self, d, R):
+        # Past ROOT_MAP_MAX_P, where only the ball layer runs.
+        params = InstanceParams.create(cli.MAX_P, d, R)
+        assert_balls_hold(root_map_once(params, 256), params, 256)
 
     @pytest.mark.parametrize("bits", [256, 1024])
     def test_balls_hold_through_verify_root_map(self, monkeypatch, bits):
