@@ -338,8 +338,10 @@ def _selftest_checks(bits: int, tol_exp: int | None) -> list[dict]:
         residual_ok, residual_detail = False, "u is irrational: no branches to evaluate"
     else:
         res = branch_residuals(r7, bits)
-        residual_ok = res["max_residual"] < tol and res["branch_signs_consistent"]
-        residual_detail = f"max residual {decimal_str(res['max_residual'])} < {decimal_str(tol)}"
+        below = res["max_residual"] < tol
+        residual_ok = below and res["branch_signs_consistent"]
+        relation = "<" if below else ">="
+        residual_detail = f"max residual {decimal_str(res['max_residual'])} {relation} {decimal_str(tol)}"
 
     checks = [
         (

@@ -346,6 +346,16 @@ class TestCliContract:
             failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
             assert failed == ["septic-numeric-residual"]
 
+    def test_failed_residual_check_states_a_true_inequality(self, capsys):
+        # The septic residual at 256 bits, about 2^-257, is not below 2^-260.
+        assert main(["selftest", "--tolerance-exp", "260"]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["septic-numeric-residual"] == {
+            "name": "septic-numeric-residual",
+            "pass": False,
+            "detail": "max residual 4.5542295114755860329e-78 >= 5.3976053469340278909e-79",
+        }
+
     # Not the text format, though int() or Fraction() accepts most of these.
     @pytest.mark.parametrize(
         "argv",
