@@ -8,31 +8,21 @@ recurrence; t_k additionally satisfies a three-term recurrence.  These are
 the certified facts that prove the fundamental identity degreewise.
 """
 
-from radreduce.coeffs import (
-    coeff_a,
-    coeff_c,
-    coeff_cprime,
-    coeff_u,
-    conv_s,
-    conv_t,
-    s_recurrence_coeffs,
-    system_C,
-)
+from radreduce.coeffs import conv_s, conv_t, family, s_recurrence_coeffs
 
 p = 11
-half = (p - 1) // 2
+values = {tag: [str(v) for v in family(p, tag)[1]] for tag in ("c", "a", "cprime", "C")}
 
 print(f"p = {p}")
-print(f"trace polynomial odd coefficients c_(2k+1):  {[str(coeff_c(p, k)) for k in range(half + 1)]}")
-print(f"sqrt-part even coefficients a_(2k):          {[str(coeff_a(p, k)) for k in range(half + 1)]}")
-print(f"cofactor odd coefficients c'_(2j+1):         {[str(coeff_cprime(p, j)) for j in range(half)]}")
-print(f"expansion coefficients C_p..C_1 (system):    {[str(c) for c in system_C(p)]}")
+print(f"trace polynomial odd coefficients c_(2k+1):  {values['c']}")
+print(f"sqrt-part even coefficients a_(2k):          {values['a']}")
+print(f"cofactor odd coefficients c'_(2j+1):         {values['cprime']}")
+print(f"expansion coefficients C_p..C_1 (system):    {values['C']}")
 print()
 
 print(" k   s_k = t_k = u_k")
-for k in range(1, p):
+for k, u in zip(*family(p, "u")):
     s = conv_s(p, k)
-    u = coeff_u(p, k)
     t = conv_t(p, k) if k >= 2 else None
     tag = "" if (s == u and (t is None or t == u)) else "   MISMATCH"
     print(f"{k:2d}   {s}{tag}")

@@ -249,28 +249,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    from .coeffs import coeff_a, coeff_c, coeff_cprime, coeff_u, system_C
+    from .coeffs import family
 
-    p = args.p
-    half = (p - 1) // 2
-    if args.family == "c":
-        indices = [2 * k + 1 for k in range(half + 1)]
-        values = [coeff_c(p, k) for k in range(half + 1)]
-    elif args.family == "a":
-        indices = [2 * k for k in range(half + 1)]
-        values = [coeff_a(p, k) for k in range(half + 1)]
-    elif args.family == "cprime":
-        indices = [2 * j + 1 for j in range((p - 3) // 2 + 1)]
-        values = [coeff_cprime(p, j) for j in range((p - 3) // 2 + 1)]
-    elif args.family == "C":
-        indices = [p - 2 * k for k in range(half + 1)]
-        values = system_C(p)
-    else:
-        indices = list(range(1, p))
-        values = [coeff_u(p, k) for k in range(1, p)]
+    indices, values = family(args.p, args.family)
     _emit(
         {
-            "p": p,
+            "p": args.p,
             "family": args.family,
             "indices": indices,
             "values": [str(v) for v in values],
@@ -342,6 +326,8 @@ def _selftest_checks(bits: int, tol_exp: int | None) -> list[dict]:
         residual_ok = below and res["branch_signs_consistent"]
         relation = "<" if below else ">="
         residual_detail = f"max residual {decimal_str(res['max_residual'])} {relation} {decimal_str(tol)}"
+        if not res["branch_signs_consistent"]:
+            residual_detail += "; branch signs inconsistent: v^p - d is not + on one branch and - on the other"
 
     checks = [
         (

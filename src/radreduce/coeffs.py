@@ -6,7 +6,8 @@ polynomial A and the cofactor polynomial f' of the fundamental identity
 d-term (Lidl, Mullen and Turnwald, *Dickson Polynomials*, 1993): f is
 D_p - 2 d D^h, and the cleared numerators of A and f' are
 (-1)^h (D_{p-1} - d D^(h-1) Z) and D_{p-2} - 2 d D^(h-1).  `dickson` states
-the coefficient of D_n once; every family is an index map into it:
+the coefficient of D_n once, and `family(p, tag)` states each family as
+(indices, values), the rows that `radreduce coeffs --family tag` prints:
 
 * c_{2k+1} ("c")      - odd-degree coefficients of f, from D_p
 * a_{2k}   ("a")      - even-degree coefficients of A (cleared), from D_{p-1}
@@ -18,8 +19,8 @@ the coefficient of D_n once; every family is an index map into it:
 * u_k      ("u")      - closed form of both convolution sums s_k, t_k, from
                          D_{2p-2}
 
-(CLI tags in parentheses.)  All values are ``int``; the division in the
-Dickson term is checked to leave no remainder.
+All values are ``int``; the division in the Dickson term is checked to leave
+no remainder.
 """
 
 from __future__ import annotations
@@ -47,24 +48,6 @@ def dickson(n: int, j: int) -> int:
     if r:
         raise ArithmeticError(f"closed form {n}*binom({n - j}, {j})/{n - j} is not an integer")
     return -q if j % 2 else q
-
-
-def coeff_c(p: int, k: int) -> int:
-    """c_{2k+1}, the coefficient of D^((p-1)/2-k) Z^(2k+1) in D_p; 0 for other k."""
-    check_p(p)
-    return dickson(p, (p - 1) // 2 - k)
-
-
-def coeff_a(p: int, k: int) -> int:
-    """a_{2k}, the coefficient of D^((p-1)/2-k) Z^(2k) in (-1)^((p-1)/2) D_{p-1}."""
-    check_p(p)
-    return (-1) ** ((p - 1) // 2) * dickson(p - 1, (p - 1) // 2 - k)
-
-
-def coeff_cprime(p: int, j: int) -> int:
-    """c'_{2j+1}, the coefficient of D^((p-3)/2-j) Z^(2j+1) in D_{p-2}."""
-    check_p(p)
-    return dickson(p - 2, (p - 3) // 2 - j)
 
 
 def system_C(p: int) -> list[int]:
@@ -108,31 +91,50 @@ def system_C(p: int) -> list[int]:
     return out
 
 
-def coeff_u(p: int, k: int) -> int:
-    """u_k = ((-1)^k (p-1) / k) * binom(p+k-2, 2k-1), the coefficient of
-    D^(p-1-k) Z^(2k) in D_{2p-2}, for 1 <= k <= p-1."""
+def family(p: int, tag: str) -> tuple[list[int], list[int]]:
+    """The coefficient family `tag` at p as (indices, values), in the order
+    `radreduce coeffs --family tag` prints them.
+
+    For "c", "a" and "cprime" the indices are the Z-exponents e of D_n of n's
+    parity, ascending, and the values sign * dickson(n, (n - e) // 2), for
+    (n, sign) = (p, 1), (p - 1, (-1)^h) and (p - 2, 1), h = (p-1)/2.  For "C"
+    they are p, p-2, ..., 1 and `system_C(p)`; for "u", k = 1, ..., p-1 and
+    u_k = ((-1)^k (p-1) / k) * binom(p+k-2, 2k-1), the coefficient of
+    D^(p-1-k) Z^(2k) in D_{2p-2}.
+    """
     check_p(p)
-    if not 1 <= k <= p - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= p-1, got k={k}, p={p}")
-    return dickson(2 * p - 2, p - 1 - k)
+    if tag == "C":
+        return list(range(p, 0, -2)), system_C(p)
+    if tag == "u":
+        indices = list(range(1, p))
+        return indices, [dickson(2 * p - 2, p - 1 - k) for k in indices]
+    dickson_rows = {"c": (p, 1), "a": (p - 1, (-1) ** ((p - 1) // 2)), "cprime": (p - 2, 1)}
+    if tag not in dickson_rows:
+        raise ValueError(f"unknown coefficient family {tag!r}")
+    n, sign = dickson_rows[tag]
+    indices = list(range(n % 2, n + 1, 2))
+    return indices, [sign * dickson(n, (n - e) // 2) for e in indices]
 
 
 def conv_s(p: int, k: int) -> int:
     """s_k = sum_j a_{2j} * a_{2(k-j)}: the even-coefficient convolution of the
-    sqrt-part polynomial with itself (out-of-range factors are 0)."""
-    check_p(p)
+    sqrt-part polynomial with itself, over the j where both factors exist."""
+    a = family(p, "a")[1]
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must satisfy 1 <= k <= p-1, got k={k}, p={p}")
-    return sum(coeff_a(p, j) * coeff_a(p, k - j) for j in range(k + 1))
+    h = (p - 1) // 2
+    return sum(a[j] * a[k - j] for j in range(max(0, k - h), min(k, h) + 1))
 
 
 def conv_t(p: int, k: int) -> int:
     """t_k = sum_j c_{2j+1} * c'_{2(k-j-1)+1}: the even-coefficient convolution
-    of the trace polynomial with the cofactor polynomial."""
-    check_p(p)
+    of the trace polynomial with the cofactor polynomial, over the j where both
+    factors exist."""
+    c, cp = family(p, "c")[1], family(p, "cprime")[1]
     if not 2 <= k <= p - 1:
         raise ValueError(f"k must satisfy 2 <= k <= p-1, got k={k}, p={p}")
-    return sum(coeff_c(p, j) * coeff_cprime(p, k - j - 1) for j in range(k))
+    h = (p - 1) // 2
+    return sum(c[j] * cp[k - 1 - j] for j in range(max(0, k - h), min(k - 1, h) + 1))
 
 
 def vanishing_sum(p: int, j: int) -> int:

@@ -34,15 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coeffs import (
-    coeff_a,
-    coeff_c,
-    coeff_cprime,
-    coeff_u,
-    s_recurrence_coeffs,
-    system_C,
-    t_recurrence_coeffs,
-)
+from .coeffs import family, s_recurrence_coeffs, system_C, t_recurrence_coeffs
 from .construct import cofactor_symbolic, sqrt_part_symbolic, trace_poly_symbolic
 from .poly import ParamPoly, Poly
 
@@ -133,11 +125,10 @@ def verify_expansion(p: int) -> VerificationReport:
     system is compared with the closed form.  Equal coefficient lists are
     reconstructed once and share one sum."""
     report = VerificationReport(p)
-    half = (p - 1) // 2
     target = Poly([1] + [0] * (p - 1) + [1])
 
     solved = system_C(p)
-    closed = [coeff_c(p, half - k) for k in range(half + 1)]
+    closed = family(p, "c")[1][::-1]
     report.first_failure(
         "system-solution-matches-closed-form",
         (k for k, (s, c) in enumerate(zip(solved, closed)) if s != c),
@@ -254,14 +245,11 @@ def verify_recurrences(p: int, sides: tuple[dict, dict] | None = None) -> Verifi
 
     # Each closed form is evaluated once; s_k and t_k are the coefficients of
     # X^k and X^(k-1) in the products of these lists read as polynomials.
-    half, half3 = (p - 1) // 2, (p - 3) // 2
-    a = [coeff_a(p, j) for j in range(half + 1)]
-    c = [coeff_c(p, j) for j in range(half + 1)]
-    cp = [coeff_cprime(p, j) for j in range(half3 + 1)]
+    a, c, cp = (family(p, tag)[1] for tag in ("a", "c", "cprime"))
     aa, ccp = _convolve(a, a), _convolve(c, cp)
     s = {k: aa[k] for k in range(1, p)}
     t = {k: ccp[k - 1] for k in range(2, p)}
-    u = {k: coeff_u(p, k) for k in range(1, p)}
+    u = dict(zip(*family(p, "u")))
 
     for label, values, start in (("s", s, 1), ("t", t, 2)):
         report.first_failure(

@@ -13,9 +13,9 @@ from mpmath import mp
 from radreduce import exprtree as et
 from radreduce.cli import GOLDEN
 from radreduce.coeffs import (
-    coeff_u,
     conv_s,
     conv_t,
+    family,
     s_recurrence_coeffs,
     t_recurrence_coeffs,
     vanishing_sum,
@@ -119,7 +119,7 @@ def test_criterion_6_hypergeometric_suite():
             assert vanishing_sum(p, j) == 0
         s = {k: conv_s(p, k) for k in range(1, p)}
         t = {k: conv_t(p, k) for k in range(2, p)}
-        u = {k: coeff_u(p, k) for k in range(1, p)}
+        u = dict(zip(*family(p, "u")))
         assert all(s[k] == u[k] for k in range(1, p))
         assert all(t[k] == u[k] for k in range(2, p))
         for k in range(1, p - 1):

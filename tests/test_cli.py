@@ -356,6 +356,24 @@ class TestCliContract:
             "detail": "max residual 4.5542295114755860329e-78 >= 5.3976053469340278909e-79",
         }
 
+    def test_failed_residual_check_names_inconsistent_signs(self, capsys, monkeypatch):
+        import radreduce.numeric as numeric_mod
+
+        real = numeric_mod.branch_residuals
+
+        def same_signs(*args, **kwargs):
+            return {**real(*args, **kwargs), "branch_signs_consistent": False}
+
+        monkeypatch.setattr(numeric_mod, "branch_residuals", same_signs)
+        assert main(["selftest"]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["septic-numeric-residual"] == {
+            "name": "septic-numeric-residual",
+            "pass": False,
+            "detail": "max residual 4.5542295114755860329e-78 < 6.2230152778611417071e-61; "
+            "branch signs inconsistent: v^p - d is not + on one branch and - on the other",
+        }
+
     # Not the text format, though int() or Fraction() accepts most of these.
     @pytest.mark.parametrize(
         "argv",

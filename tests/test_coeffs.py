@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from radreduce.coeffs import (
     binom,
-    coeff_a,
-    coeff_c,
-    coeff_cprime,
-    coeff_u,
     conv_s,
     conv_t,
+    dickson,
+    family,
     s_recurrence_coeffs,
     system_C,
     t_recurrence_coeffs,
@@ -30,46 +28,56 @@ class TestBinom:
         assert binom(5, 2) == 10
 
 
+class TestFamily:
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ValueError, match="unknown coefficient family"):
+            family(5, "U")
+
+
+# The out-of-range tests check that each family stops where its Dickson
+# polynomial's coefficients do: the next exponent of the same parity past
+# either end of the indices would read a Dickson entry that is 0.
 class TestTraceCoefficients:
     def test_quintic_family(self):
         # f = Z^5 - 5D Z^3 + 5D^2 Z - 2dD^2 gives c1=5, c3=-5, c5=1.
-        assert [coeff_c(5, k) for k in range(3)] == [5, -5, 1]
+        assert family(5, "c") == ([1, 3, 5], [5, -5, 1])
 
     def test_leading_coefficient_is_one(self):
         for p in ODD_P:
-            assert coeff_c(p, (p - 1) // 2) == 1
+            assert family(p, "c")[1][-1] == 1
 
     def test_cubic_value(self):
         # direct substitution: (-1)^1 * (3/2) * binom(2, 1) = -3
-        assert coeff_c(3, 0) == -3
+        assert family(3, "c")[1][0] == -3
 
     def test_out_of_range_is_zero(self):
-        assert coeff_c(5, 3) == 0
-        assert coeff_c(5, -1) == 0
+        assert family(5, "c")[0] == [1, 3, 5]
+        assert dickson(5, 3) == dickson(5, -1) == 0  # Z^-1 and Z^7 of D_5
 
 
 class TestSqrtPartCoefficients:
     def test_quintic_family(self):
-        assert [coeff_a(5, k) for k in range(3)] == [2, -4, 1]
+        assert family(5, "a") == ([0, 2, 4], [2, -4, 1])
 
     def test_cubic_value(self):
-        assert coeff_a(3, 0) == 2
+        assert family(3, "a")[1][0] == 2
 
     def test_out_of_range_is_zero(self):
-        assert coeff_a(5, 3) == 0
+        assert family(5, "a")[0] == [0, 2, 4]
+        assert dickson(4, 3) == dickson(4, -1) == 0  # Z^-2 and Z^6 of D_4
 
 
 class TestCofactorCoefficients:
     def test_quintic_family(self):
-        assert coeff_cprime(5, 0) == -3
-        assert coeff_cprime(5, 1) == 1
+        assert family(5, "cprime") == ([1, 3], [-3, 1])
 
     def test_cubic_value(self):
         # (p-2)/((p-1)/2) * binom(1, 1) = 1
-        assert coeff_cprime(3, 0) == 1
+        assert family(3, "cprime") == ([1], [1])
 
     def test_out_of_range_is_zero(self):
-        assert coeff_cprime(5, 2) == 0
+        assert family(5, "cprime")[0] == [1, 3]
+        assert dickson(3, 2) == dickson(3, -1) == 0  # Z^-1 and Z^5 of D_3
 
 
 class TestExpansionSystem:
@@ -86,28 +94,20 @@ class TestExpansionSystem:
 
     @pytest.mark.parametrize("p", ODD_P)
     def test_system_equals_closed_form(self, p):
-        half = (p - 1) // 2
-        closed = [coeff_c(p, half - k) for k in range(half + 1)]
-        assert system_C(p) == closed
+        assert system_C(p) == family(p, "c")[1][::-1]
 
 
 class TestClosedFormU:
     def test_u1_formula(self):
         for p in ODD_P:
-            assert coeff_u(p, 1) == -((p - 1) ** 2)
+            assert family(p, "u")[1][0] == -((p - 1) ** 2)
 
     def test_u2_formula(self):
         for p in range(5, 40, 2):
-            assert coeff_u(p, 2) == F(p * (p - 1) ** 2 * (p - 2), 12)
+            assert family(p, "u")[1][1] == F(p * (p - 1) ** 2 * (p - 2), 12)
 
     def test_value(self):
-        assert coeff_u(5, 2) == 20  # 5*16*3/12
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            coeff_u(5, 5)
-        with pytest.raises(ValueError):
-            coeff_u(5, 0)
+        assert family(5, "u") == ([1, 2, 3, 4], [-16, 20, -8, 1])  # u_2 = 5*16*3/12
 
 
 class TestConvolutions:
@@ -165,12 +165,7 @@ class TestVanishingSum:
 class TestIntegrality:
     @pytest.mark.parametrize("p", ODD_P)
     def test_all_families_are_integers(self, p):
-        half = (p - 1) // 2
-        values = [coeff_c(p, k) for k in range(half + 1)]
-        values += [coeff_a(p, k) for k in range(half + 1)]
-        values += [coeff_cprime(p, j) for j in range((p - 3) // 2 + 1)]
-        values += system_C(p)
-        values += [coeff_u(p, k) for k in range(1, p)]
+        values = [v for tag in ("c", "a", "cprime", "C", "u") for v in family(p, tag)[1]]
         assert all(v.denominator == 1 for v in values)
 
 
@@ -210,14 +205,15 @@ class TestIntegerFamiliesMatchFractionClosedForms:
     @given(odd_p, st.data())
     def test_families(self, p, data):
         half = (p - 1) // 2
+        c, a, cp, u = (family(p, tag)[1] for tag in ("c", "a", "cprime", "u"))
         k = data.draw(st.integers(min_value=0, max_value=half))
-        self.assert_int_equal(coeff_c(p, k), c_closed(p, k))
-        self.assert_int_equal(coeff_c(p, half - k), c_descending_closed(p, k))
-        self.assert_int_equal(coeff_a(p, k), a_closed(p, k))
+        self.assert_int_equal(c[k], c_closed(p, k))
+        self.assert_int_equal(c[half - k], c_descending_closed(p, k))
+        self.assert_int_equal(a[k], a_closed(p, k))
         j = data.draw(st.integers(min_value=0, max_value=half - 1))
-        self.assert_int_equal(coeff_cprime(p, j), cprime_closed(p, j))
+        self.assert_int_equal(cp[j], cprime_closed(p, j))
         ku = data.draw(st.integers(min_value=1, max_value=p - 1))
-        self.assert_int_equal(coeff_u(p, ku), u_closed(p, ku))
+        self.assert_int_equal(u[ku - 1], u_closed(p, ku))
         self.assert_int_equal(conv_s(p, ku), u_closed(p, ku))
         if ku >= 2:
             self.assert_int_equal(conv_t(p, ku), u_closed(p, ku))
@@ -251,7 +247,8 @@ class TestRecurrences:
 
     @pytest.mark.parametrize("p", range(5, 30, 2))
     def test_convolutions_equal_closed_form(self, p):
+        u = dict(zip(*family(p, "u")))
         for k in range(1, p):
-            assert conv_s(p, k) == coeff_u(p, k)
+            assert conv_s(p, k) == u[k]
         for k in range(2, p):
-            assert conv_t(p, k) == coeff_u(p, k)
+            assert conv_t(p, k) == u[k]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radreduce import balls
-from radreduce.coeffs import coeff_c, coeff_u, system_C
+from radreduce.coeffs import family, system_C
 from radreduce.exactnum import (
     MR_PROVEN_BOUND,
     FactorizationError,
@@ -151,12 +151,12 @@ class TestCheckP:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda p: coeff_c(p, 0),
-            lambda p: coeff_u(p, 1),
+            lambda p: family(p, "c"),
+            lambda p: family(p, "u"),
             system_C,
             lambda p: rational_odd_root(Fraction(8), p),
         ],
-        ids=["coeff_c", "coeff_u", "system_C", "rational_odd_root"],
+        ids=["family-c", "family-u", "system_C", "rational_odd_root"],
     )
     def test_rejects_non_int_p(self, call):
         with pytest.raises(ValueError, match=r"^p must be an odd integer >= 3, got 3\.0$"):

@@ -27,6 +27,19 @@ def fpoly(*coeffs):
     return Poly([F(c) for c in coeffs])
 
 
+def _bump_family(monkeypatch, tag, k):
+    """Make `identity.family` return family `tag` with its k-th value raised by 1."""
+    import radreduce.identity as identity_mod
+
+    real = identity_mod.family
+
+    def bumped(p, t):
+        indices, values = real(p, t)
+        return indices, [v + (t == tag and i == k) for i, v in enumerate(values)]
+
+    monkeypatch.setattr(identity_mod, "family", bumped)
+
+
 class TestExpansion:
     def test_cubic_by_hand(self):
         # (X+1)^3 - 3X(X+1) = X^3 + 1, checked with direct polynomial arithmetic.
@@ -48,10 +61,7 @@ class TestExpansion:
 
 
     def test_closed_form_is_cross_checked(self, monkeypatch):
-        import radreduce.identity as identity_mod
-
-        real = identity_mod.coeff_c
-        monkeypatch.setattr(identity_mod, "coeff_c", lambda p, k: real(p, k) + (k == 2))
+        _bump_family(monkeypatch, "c", 2)
         check = verify_expansion(9).checks[0]
         assert check.name == "system-solution-matches-closed-form"
         assert not check.passed
@@ -192,10 +202,7 @@ class TestWitnessText:
         }
 
     def test_s_extraction_with_patched_a(self, monkeypatch):
-        import radreduce.identity as identity_mod
-
-        real = identity_mod.coeff_a
-        monkeypatch.setattr(identity_mod, "coeff_a", lambda p, k: real(p, k) + (k == 1))
+        _bump_family(monkeypatch, "a", 1)
         assert _failing(verify_recurrences(9)) == {
             "s-equals-closed-form": "k=1: s=-60, closed form -64",
             "s-two-term-recurrence": "fails at k=1",
@@ -203,10 +210,7 @@ class TestWitnessText:
         }
 
     def test_t_extraction_with_patched_c(self, monkeypatch):
-        import radreduce.identity as identity_mod
-
-        real = identity_mod.coeff_c
-        monkeypatch.setattr(identity_mod, "coeff_c", lambda p, k: real(p, k) + (k == 1))
+        _bump_family(monkeypatch, "c", 1)
         assert _failing(verify_recurrences(9)) == {
             "t-equals-closed-form": "k=2: t=329, closed form 336",
             "t-three-term-recurrence": "fails at k=2",

@@ -1183,6 +1183,44 @@ class TestExactCliOutputBytes:
                 ("reduce", "--p", "5", "--d", "2", "--R", "5"),
                 "1aa149d6b343a0a4fcbdcde1b871a0ab386c1e5ecdff5f396e026148a55cbd44",
             ),
+            # Every family at p = 3, where cprime has one value, and at the top of
+            # --p, as printed before the families were stated in one table.
+            (
+                ("coeffs", "--p", "3", "--family", "c"),
+                "99259991bd2936358bf06e59af50c2dd3118ca95f122ef477a9e3900ab20d2a1",
+            ),
+            (
+                ("coeffs", "--p", "3", "--family", "a"),
+                "931c2773ed4b07b65ac217a3ded70618d1b0a8d4519ef65ed8fed750b91b6866",
+            ),
+            (
+                ("coeffs", "--p", "3", "--family", "cprime"),
+                "af721d42bd8c1615f2c34a045e0cb4292806a7b587b237d933788521033b6ff4",
+            ),
+            (
+                ("coeffs", "--p", "3", "--family", "C"),
+                "e092119bb4c248a5173216e51172b61ce1719320adb3282de1bf41a3a2dcb2cc",
+            ),
+            (
+                ("coeffs", "--p", "3", "--family", "u"),
+                "d3aa9e9025ace66970e14d44b90543c41e57ad6e72beb1db6f83b47361079c60",
+            ),
+            (
+                ("coeffs", "--p", "1001", "--family", "c"),
+                "da3528bf25485d6706aa83adfca886973bfdc6a93737ed01bdcc9e7ff10fef4d",
+            ),
+            (
+                ("coeffs", "--p", "1001", "--family", "a"),
+                "cbca6938ebcce03560e0083b0dca385ddbc9798310b50087511998fcc6548ecb",
+            ),
+            (
+                ("coeffs", "--p", "1001", "--family", "cprime"),
+                "055f6ab6eaa44ca0829f5b001cf6e7de1c43d3bcab589b3731a1eeb08617a823",
+            ),
+            (
+                ("coeffs", "--p", "1001", "--family", "u"),
+                "d8acf935f58dcf881974019203a32c544439baa9d83486086c1ce546b1a80c61",
+            ),
         ],
     )
     def test_stdout_sha256(self, capsys, argv, sha256):

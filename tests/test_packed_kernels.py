@@ -180,8 +180,13 @@ class TestSingleReconstruction:
         assert calls == [9]
 
     def test_differing_lists_each_get_their_own_sum(self, monkeypatch):
-        real = identity_mod.coeff_c
-        monkeypatch.setattr(identity_mod, "coeff_c", lambda p, k: real(p, k) + 5 * (k == 2))
+        real = identity_mod.family
+
+        def bumped(p, tag):
+            indices, values = real(p, tag)
+            return indices, [v + 5 * (tag == "c" and k == 2) for k, v in enumerate(values)]
+
+        monkeypatch.setattr(identity_mod, "family", bumped)
         checks = {c.name: c for c in verify_expansion(9).checks}
         assert checks["expansion-reconstructs-with-system-coefficients"].passed
         closed = checks["expansion-reconstructs-with-closed-form-coefficients"]
